@@ -44,12 +44,13 @@ cert-smoke:
 # Kernel + zero-copy executor smoke: backend parity (Numba/NumPy
 # bit-identity, silent-fallback reporting) and the shared-memory
 # work-stealing engine (serial equivalence, crash recovery, segment
-# hygiene), then the sweep bench with two workers so BENCH_sweeps.json
+# hygiene, and the self-healing timeout/retry/quarantine policy it also
+# runs), then the sweep bench with two workers so BENCH_sweeps.json
 # records the shm engine's per-cell payload accounting.  Runs the same
 # whether or not the `perf` extra (Numba) is installed — the JSON's
 # "kernels" note names the active backend.
 kernel-smoke:
-	pytest tests/test_kernels.py tests/test_shm_executor.py -q
+	pytest tests/test_kernels.py tests/test_shm_executor.py tests/test_executor_resilience.py -q
 	REPRO_BENCH_SMOKE=1 REPRO_BENCH_WORKERS=2 \
 		pytest benchmarks/bench_sweep_executor.py --benchmark-only
 

@@ -7,11 +7,11 @@ instance, runs one algorithm on the simulator, and reports rounds and
 messages.  The cells share no state — the only cross-cell coupling is
 the structure-keyed schedule cache, which is a pure memo (replaying a
 cached schedule is bit-identical to recomputing it) — so the grid can be
-fanned out over a process pool without changing a single round count.
+fanned out over worker processes without changing a single round count.
 
 :func:`execute_cells` is that engine.  It decomposes a sweep into
-:class:`SweepCell` work items, runs them serially or over a
-``ProcessPoolExecutor``, and reassembles :class:`CellResult` rows in
+:class:`SweepCell` work items, runs them in-process or on a pool of
+worker processes, and reassembles :class:`CellResult` rows in
 deterministic cell order, so ``workers=N`` is bit-identical to
 ``workers=1`` for any ``N``.
 
@@ -32,7 +32,7 @@ Schedule-cache persistence
 --------------------------
 With ``cache_dir`` set, the engine warm-loads the versioned on-disk
 store (:func:`repro.model.schedule_cache.load_store`) into the
-process-wide default cache before running — each forked worker inherits
+process-wide default cache once, before running — forked workers inherit
 the warm cache — and afterwards merges every schedule newly computed by
 any worker back into the parent cache and rewrites the store.  First-fit
 scheduling cost is therefore paid once per structure across all
@@ -42,63 +42,60 @@ Start methods: the engine prefers ``fork`` (the work specification is
 inherited by the children, so factories and algorithms may be arbitrary
 callables — closures and lambdas included).  On platforms without
 ``fork`` the specification is pickled to the workers; if it cannot be
-pickled the engine degrades to serial execution and says so in the run
+pickled the engine runs the sweep in-process and says so in the run
 stats rather than failing the sweep.
 
-Zero-copy shared memory and work stealing
------------------------------------------
-The plain parallel path (``workers > 1`` without the self-healing knobs)
-runs on a shared-memory engine (:mod:`repro.analysis.shm`) instead of a
-pickling ``ProcessPoolExecutor``:
+The worker engine: shared memory, work stealing, supervision
+------------------------------------------------------------
+Multi-process sweeps run on one engine built on
+:mod:`repro.analysis.shm`:
 
 * instance matrices (legacy deterministic ``factory(value)`` form), the
-  warm schedule store, and a per-cell result table live in named
-  ``multiprocessing.shared_memory`` segments; workers receive only
-  ``(segment name, dtype, shape, offset)`` descriptors and attach
-  zero-copy views;
+  warm schedule store (spawned workers only), and a per-cell result
+  table live in named ``multiprocessing.shared_memory`` segments;
+  workers receive only ``(segment name, dtype, shape, offset)``
+  descriptors and attach zero-copy views;
 * newly computed schedules are appended to a per-worker *harvest*
   segment; a cell's completion message shrinks to its index, optional
   error text, and a byte range — per-cell serialized payload drops by
   orders of magnitude (both sides are measured and reported in
   ``stats["payload"]`` and per cell on :class:`CellResult`);
-* dispatch is work stealing: instead of a static partition, the parent
-  hands the next pending cell to whichever worker frees up, so one slow
-  cell no longer idles the rest of the pool;
-* a worker that dies mid-cell is detected, its cell is re-dispatched to
-  a fresh worker (then run inline in the parent as a last resort), and
-  every segment is unlinked in a ``finally`` — a crashed sweep leaks
+* dispatch is work stealing: the parent hands the next pending cell to
+  whichever worker frees up, so one slow cell never idles the rest;
+* each worker owns a private task queue (the parent always knows which
+  cell a dead worker held) and a one-writer result pipe (a killed worker
+  can never leave a shared lock held and wedge its siblings); a worker
+  that dies mid-cell, or overruns ``cell_timeout_s``, is killed and
+  replaced by a fresh process, and its cell goes to the retry policy;
+* every segment is unlinked in a ``finally``: a crashed sweep leaks
   nothing in ``/dev/shm``.
 
-Determinism is untouched: per-cell RNGs still derive from the root seed
-and grid coordinates alone, and results are reassembled in grid order,
-so the engine is bit-identical to serial for any worker count.  When
-segments cannot be created (no ``/dev/shm``), the engine falls back to
-the historical pickling pool and says so in the run stats; the
-``engine`` parameter ("auto" / "shm" / "pool") pins either path.
+The retry policy is the same for every execution path:
 
-Self-healing execution
-----------------------
-With ``cell_timeout_s`` set or ``max_attempts > 1`` the engine switches
-from the plain ``ProcessPoolExecutor`` to a supervised worker pool that
-survives misbehaving cells and workers:
+* plain runs (``max_attempts=1``, no ``cell_timeout_s``): a cell that
+  raises is recorded ``status="failed"`` with its error, without retry;
+  a cell whose worker crashes is re-dispatched once to a fresh worker,
+  and if that worker dies too the cell is recorded ``failed`` with an
+  error naming the crash.  A cell never runs in the parent process, so a
+  cell that kills its process cannot take the sweep down with it;
+* self-healing runs (``cell_timeout_s`` set or ``max_attempts > 1``): a
+  raise, a worker crash, and a timeout each cost one attempt; between
+  attempts the cell waits ``retry_backoff_s * 2**(attempt-1)`` (bounded
+  exponential backoff), and a cell that fails ``max_attempts`` times is
+  *quarantined* — the sweep completes, the cell reports
+  ``status="quarantined"`` with its per-attempt failure log, and every
+  other cell is bit-identical to a fault-free run (retries reuse the
+  same deterministic per-cell RNG).  With ``cell_timeout_s`` set the
+  parent prebuilds no shared instances, so the deadline covers the
+  instance factory too, and a self-healing run uses a worker process
+  even at ``workers=1``.
 
-* a worker that dies mid-cell (segfault, OOM kill, ``SIGKILL``) is
-  detected by liveness polling; the cell is retried on a freshly spawned
-  worker;
-* a cell that exceeds ``cell_timeout_s`` has its worker killed and
-  replaced, and the cell is retried;
-* a cell that raises is retried like any other failure;
-* between attempts the cell waits ``retry_backoff_s * 2**(attempt-1)``
-  (bounded exponential backoff);
-* a cell that fails ``max_attempts`` times is *quarantined*: the sweep
-  completes, the cell reports ``status="quarantined"`` with its
-  per-attempt failure log, and every other cell's result is bit-identical
-  to a fault-free run (cells are independent; retries reuse the same
-  deterministic per-cell RNG).
-
-Timeout enforcement needs real worker processes; if the work spec cannot
-reach workers (unpicklable under ``spawn``), the engine degrades to
-serial retries without preemption and says so in the run stats.
+The engine needs real worker processes and shared-memory segments.
+Sweeps run in-process — same retry policy, no preemption — for plain
+runs at ``workers=1``, when the work spec cannot be pickled under
+``spawn``, and under ``engine="auto"`` on a host where segments cannot
+be created; the last two are reported in ``stats["fallback"]``.  ``engine="shm"`` raises
+instead of degrading.
 
 Crash-safe checkpointing
 ------------------------
@@ -115,11 +112,11 @@ had not yet been checkpointed.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import os
 import pickle
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -149,6 +146,9 @@ __all__ = [
     "build_cells",
     "execute_cells",
     "preferred_context",
+    "spawn_worker",
+    "kill_worker",
+    "stop_workers",
 ]
 
 
@@ -181,12 +181,12 @@ class CellResult:
     cache_misses: int = 0
     new_schedules: int = 0
     worker_pid: int = 0
-    #: "ok" | "failed" | "quarantined" — "failed" means the cell's error
-    #: was captured without retries (plain engine); "quarantined" means
-    #: the self-healing engine exhausted ``max_attempts`` on this cell
+    #: "ok" | "failed" | "quarantined" — "failed" means a plain run
+    #: recorded the cell's error (a raise, or a second worker crash);
+    #: "quarantined" means a self-healing run exhausted ``max_attempts``
     status: str = "ok"
-    #: number of delivery attempts the self-healing engine spent (1 for
-    #: the plain engine)
+    #: number of attempts the cell took (a plain run re-dispatches a
+    #: cell once after a worker crash)
     attempts: int = 1
     #: one line per failed attempt: ``"attempt N: <what happened>"``
     failure_log: list[str] = field(default_factory=list)
@@ -197,11 +197,11 @@ class CellResult:
     #: True when this result was restored from a sweep checkpoint
     #: manifest instead of being executed in this run
     restored: bool = False
-    #: bytes the pickling pool would have shipped for this cell (the
+    #: bytes a pickling transport would have shipped for this cell (the
     #: pickled ``(CellResult, new schedules)`` pair), measured in-worker
     payload_baseline_bytes: int = 0
-    #: bytes that actually crossed the worker pipe under the zero-copy
-    #: engine (the tiny completion message); 0 for in-process execution
+    #: bytes that actually crossed the worker pipe (the tiny completion
+    #: message); 0 for in-process execution
     payload_shipped_bytes: int = 0
 
 
@@ -236,22 +236,17 @@ def build_cells(
 # Worker side
 # ---------------------------------------------------------------------- #
 # The work specification lives in a module global.  Under the fork start
-# method the parent sets it *before* the pool exists and children inherit
-# it (this is what lets closures through); under spawn it is pickled to
-# _worker_init.  Keys: factory, algorithms, verify, seed, persist.
+# method the parent sets it *before* any worker exists and children
+# inherit it (this is what lets closures through); under spawn it travels
+# in the worker's spec.  Keys: factory, algorithms, verify, seed, persist,
+# detail.
 _STATE: dict[str, Any] | None = None
 
 
-def _worker_init(state: dict[str, Any] | None, store_file: str | None) -> None:
-    global _STATE
-    if state is not None:
-        _STATE = state
-    cache = default_schedule_cache()
-    if store_file:
-        cache.merge(load_store(store_file))
-    # Only schedules computed *by this worker from here on* are shipped
+def _worker_init() -> None:
+    # Only schedules computed *by this process from here on* are shipped
     # back to the parent; inherited or warm-loaded entries are not.
-    cache.drain_new_entries()
+    default_schedule_cache().drain_new_entries()
 
 
 def _exec_cell(
@@ -292,32 +287,6 @@ def _exec_cell(
     return result, new
 
 
-def _resilient_worker_main(state, store_file, task_q, result_conn) -> None:
-    """Loop of one supervised worker: pull a cell, run it, ship the result.
-
-    Results travel over a dedicated pipe (one writer per pipe — a killed
-    sibling can never leave a shared queue lock held and wedge the rest
-    of the pool).  Cell-level exceptions are already captured inside
-    :func:`_exec_cell` (``CellResult.error``); anything escaping here is
-    engine breakage and is shipped as a transport-level error so the
-    parent can retry the cell elsewhere.
-    """
-    _worker_init(state, store_file)
-    while True:
-        cell = task_q.get()
-        if cell is None:
-            return
-        try:
-            res, new = _exec_cell(cell)
-        except BaseException as exc:
-            result_conn.send((cell.index, None, {}, f"{type(exc).__name__}: {exc}"))
-        else:
-            result_conn.send((cell.index, res, new, None))
-
-
-# ---------------------------------------------------------------------- #
-# Zero-copy shared-memory engine (worker side)
-# ---------------------------------------------------------------------- #
 #: per-worker capacity for newly computed schedule arrays; overflow spills
 #: to the (counted) pipe instead of failing the cell
 _HARVEST_SEGMENT_BYTES = 8 << 20
@@ -325,10 +294,11 @@ _HARVEST_SEGMENT_BYTES = 8 << 20
 
 class _ShmUnavailable(RuntimeError):
     """Shared-memory segments cannot be created on this host; raised
-    before any worker starts so the caller can fall back to the pool."""
+    before any worker starts, so ``engine="auto"`` can run the sweep
+    in-process instead."""
 
 
-# Like _STATE: the zero-copy work spec, inherited by forked children.
+# Like _STATE: the engine's work spec, inherited by forked children.
 # Holds only segment descriptors plus the state dict — a few hundred
 # bytes however large the sweep data is.
 _SHM_SPEC: dict[str, Any] | None = None
@@ -371,7 +341,7 @@ def _result_from_row(
 
 
 def _shm_worker_main(spec, task_q, result_conn) -> None:
-    """Loop of one zero-copy worker (see "Zero-copy shared memory" above).
+    """Loop of one engine worker (see "The worker engine" above).
 
     The worker attaches to the segments named in its spec — warm schedule
     pack (spawn only; forked children inherit the warm cache), shared
@@ -380,7 +350,7 @@ def _shm_worker_main(spec, task_q, result_conn) -> None:
     outcome into the cell's result row, append new schedules to the
     harvest segment, and send a completion message that is nothing but
     ``(index, error, details, spill, byte range)``.  Both payload sizes —
-    what the pickling pool would have shipped and what actually crossed
+    what pickling the whole result would ship and what actually crossed
     the pipe — are measured here and recorded in the row.
     """
     global _STATE
@@ -399,7 +369,7 @@ def _shm_worker_main(spec, task_q, result_conn) -> None:
             # zero-copy views are safe here: the mapping outlives the cache
             # use (worker lifetime), so no copy is forced
             cache.merge(dict(shm.iter_entries(seg.buf, end)), copy=False)
-        cache.drain_new_entries()
+        _worker_init()
         rows, row_seg = shm.attach_array(spec["results"])
         tracker.track(row_seg)
         harvest = tracker.track(shm.attach_segment(spec["harvest"]))
@@ -416,7 +386,7 @@ def _shm_worker_main(spec, task_q, result_conn) -> None:
                 if inst is None:
                     inst = attached[cell.axis_index] = shm.attach_instance(desc, tracker)
             res, new = _exec_cell(cell, instance=inst)
-            # what the pickling pool would have shipped for this cell
+            # what pickling the whole result would ship for this cell
             baseline = len(pickle.dumps((res, new)))
             start = cursor
             spill: dict[bytes, np.ndarray] = {}
@@ -450,21 +420,109 @@ def preferred_context() -> mp.context.BaseContext:
     return mp.get_context("fork" if "fork" in methods else methods[0])
 
 
-_preferred_context = preferred_context  # historical internal name
+def spawn_worker(ctx: mp.context.BaseContext, target: Callable, *args) -> dict[str, Any]:
+    """Start one daemonic worker running ``target(*args, task_q, result_conn)``.
+
+    The worker owns a private ``SimpleQueue`` of tasks, so the parent
+    always knows what a dead worker was holding, and the write end of a
+    one-writer result pipe, so killing a worker can never leave a shared
+    lock held and wedge its siblings.  Returns the worker record
+    ``{"proc", "task_q", "conn"}`` (``conn`` is the parent's read end)
+    taken by :func:`kill_worker` and :func:`stop_workers`.  Shared by
+    the sweep engine and the resident serving pool.
+    """
+    task_q = ctx.SimpleQueue()
+    recv_conn, send_conn = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=target, args=(*args, task_q, send_conn), daemon=True)
+    proc.start()
+    send_conn.close()  # parent keeps only the read end
+    return {"proc": proc, "task_q": task_q, "conn": recv_conn}
 
 
-def _retry_delay_s(base: float, attempt: int) -> float:
-    """Bounded exponential backoff before attempt ``attempt + 1``."""
-    return min(base * (2 ** (attempt - 1)), 2.0) if base > 0 else 0.0
+def kill_worker(w: dict[str, Any]) -> None:
+    """Kill a worker from :func:`spawn_worker` (if still alive), reap it,
+    and close the parent's end of its pipe."""
+    proc = w["proc"]
+    if proc.is_alive():
+        proc.kill()
+    proc.join(timeout=5)
+    w["conn"].close()
 
 
-def _quarantined_result(cell: SweepCell, attempts: int, log: list[str]) -> CellResult:
-    res = CellResult(cell.index, cell.axis_index, cell.axis_value, cell.algo_name)
-    res.status = "quarantined"
-    res.attempts = attempts
-    res.failure_log = log
-    res.error = log[-1] if log else "quarantined"
-    return res
+def stop_workers(workers: Sequence[dict[str, Any]]) -> None:
+    """Shut workers from :func:`spawn_worker` down: a ``None`` sentinel
+    to every live one, a bounded join, then kill whatever still runs."""
+    for w in workers:
+        if w["proc"].is_alive():
+            try:
+                w["task_q"].put(None)
+            except OSError:
+                pass
+    for w in workers:
+        w["proc"].join(timeout=2)
+        if w["proc"].is_alive():
+            w["proc"].kill()
+            w["proc"].join(timeout=5)
+        try:
+            w["conn"].close()
+        except OSError:
+            pass
+
+
+class _RetryPolicy:
+    """What happens to a failed attempt (see the module docstring); one
+    per run, shared by the worker engine and the in-process loop.
+
+    ``counters`` holds the run's retry and worker counters, which both
+    loops update.
+    """
+
+    def __init__(self, *, resilient: bool, max_attempts: int, backoff_s: float):
+        self.resilient = resilient
+        # plain runs re-dispatch a crashed cell once
+        self.budget = max_attempts if resilient else 2
+        self.backoff_s = backoff_s
+        self.counters = dict.fromkeys(
+            (
+                "worker_crashes",
+                "worker_replacements",
+                "requeued_cells",
+                "timeouts",
+                "quarantined",
+                "harvest_spills",
+            ),
+            0,
+        )
+
+    def settles(self, res: CellResult) -> bool:
+        """Whether an attempt that ran to completion settles its cell: a
+        success always does, a raise does on plain runs (as ``failed``)."""
+        return res.error is None or not self.resilient
+
+    def fail(
+        self, cell: SweepCell, attempt: int, log: list[str], msg: str
+    ) -> CellResult | None:
+        """Log a failed attempt.  Returns ``None`` when the cell gets
+        another attempt (after :meth:`delay_s`), otherwise its final
+        ``quarantined`` (self-healing) or ``failed`` (plain) result."""
+        log.append(f"attempt {attempt}: {msg}")
+        if attempt < self.budget:
+            self.counters["requeued_cells"] += 1
+            return None
+        res = CellResult(cell.index, cell.axis_index, cell.axis_value, cell.algo_name)
+        if self.resilient:
+            res.status = "quarantined"
+            self.counters["quarantined"] += 1
+        else:
+            res.status = "failed"
+        res.attempts = attempt
+        res.failure_log = log
+        res.error = log[-1]
+        return res
+
+    def delay_s(self, attempt: int) -> float:
+        """Bounded exponential backoff before attempt ``attempt + 1``."""
+        return min(self.backoff_s * 2 ** (attempt - 1), 2.0)
 
 
 def _share_instances(arena: shm.ShmArena, state: dict[str, Any], cells) -> dict:
@@ -504,37 +562,31 @@ def _execute_shm(
     cells: Sequence[SweepCell],
     ctx: mp.context.BaseContext,
     state: dict[str, Any],
+    policy: _RetryPolicy,
     *,
     workers: int,
+    cell_timeout_s: float | None,
     num_rows: int,
     results: list[CellResult | None],
     harvested: dict[bytes, np.ndarray],
     on_result: Callable[[], None] | None = None,
 ) -> dict[str, Any]:
-    """The zero-copy work-stealing engine (see the module docstring).
+    """The multi-process engine (see "The worker engine" above).
 
     The parent owns every shared segment through one :class:`ShmArena`
-    and hands the next pending cell to whichever worker frees up — no
-    static partition, so a slow cell never idles the rest of the pool.
-    A worker that dies mid-cell has its cell re-dispatched once to a
-    fresh worker and then, as a last resort, executed inline in the
-    parent (per-cell RNGs make every path bit-identical).  The arena is
+    and hands the next ready cell to whichever worker frees up.  It polls
+    results, liveness, and deadlines; a worker that dies or overruns is
+    killed and replaced, and its cell goes to ``policy``.  The arena is
     closed in a ``finally``: no ``/dev/shm`` entry survives the call,
-    crashes included.
+    crashes included.  Returns the engine's segment statistics.
 
     Raises :class:`_ShmUnavailable` before any worker starts when
-    segments cannot be created; the caller falls back to the pool.
+    segments cannot be created.
     """
     global _SHM_SPEC
     from multiprocessing.connection import wait as _conn_wait
 
-    counters = {
-        "worker_crashes": 0,
-        "worker_replacements": 0,
-        "requeued_cells": 0,
-        "inline_recoveries": 0,
-        "harvest_spills": 0,
-    }
+    counters = policy.counters
     info: dict[str, Any] = {
         "shared_instances": 0,
         "instance_bytes": 0,
@@ -554,7 +606,11 @@ def _execute_shm(
                 warm = shm.pack_entries(arena, cache.export_entries())
                 if warm is not None:
                     info["warm_pack_bytes"] = warm[1]
-            instances = _share_instances(arena, state, cells)
+            # a deadline must cover the instance factory, so with one set
+            # every instance is built in its worker
+            instances = (
+                _share_instances(arena, state, cells) if cell_timeout_s is None else {}
+            )
             results_desc, rows = shm.result_block(arena, num_rows)
         except OSError as exc:
             raise _ShmUnavailable(
@@ -567,9 +623,6 @@ def _execute_shm(
             for spec in desc.csr.values()
             for part in ("data", "indices", "indptr")
         )
-        # inline recoveries run _exec_cell in this process: start from a
-        # drained cache so only their own schedules are attributed to them
-        cache.drain_new_entries()
 
         spec_base = {
             "state": None if fork else state,
@@ -582,25 +635,16 @@ def _execute_shm(
             global _SHM_SPEC
             harvest = arena.create(_HARVEST_SEGMENT_BYTES)
             spec = dict(spec_base, harvest=harvest.name)
-            task_q = ctx.SimpleQueue()
-            recv_conn, send_conn = ctx.Pipe(duplex=False)
             _SHM_SPEC = spec  # snapshot inherited by the forked child
-            proc = ctx.Process(
-                target=_shm_worker_main,
-                args=(None if fork else spec, task_q, send_conn),
-                daemon=True,
-            )
-            proc.start()
-            send_conn.close()  # parent keeps only the read end
-            return {
-                "proc": proc,
-                "task_q": task_q,
-                "conn": recv_conn,
-                "harvest": harvest,
-                "job": None,  # (cell, attempt) currently dispatched
-            }
+            w = spawn_worker(ctx, _shm_worker_main, None if fork else spec)
+            # job: (cell, attempt, failure log, deadline) currently dispatched
+            w.update(harvest=harvest, job=None)
+            return w
 
-        ready: list[tuple[SweepCell, int]] = [(cell, 1) for cell in cells]
+        # (cell, attempt, earliest start, failure log); attempts count from 1
+        ready: list[tuple[SweepCell, int, float, list[str]]] = [
+            (cell, 1, 0.0, []) for cell in cells
+        ]
         completed = 0
 
         def finish(res: CellResult) -> None:
@@ -609,6 +653,14 @@ def _execute_shm(
             completed += 1
             if on_result is not None:
                 on_result()
+
+        def fail(cell: SweepCell, attempt: int, log: list[str], msg: str) -> None:
+            final = policy.fail(cell, attempt, log, msg)
+            if final is not None:
+                finish(final)
+            else:
+                not_before = time.monotonic() + policy.delay_s(attempt)
+                ready.append((cell, attempt + 1, not_before, log))
 
         def consume(w: dict[str, Any]) -> None:
             """Handle everything currently readable on one worker's pipe."""
@@ -623,7 +675,7 @@ def _execute_shm(
                 job = w["job"]
                 if job is None or job[0].index != index:
                     continue  # result of a cell the parent already gave up on
-                cell, attempt = job
+                cell, attempt, log, _ = job
                 w["job"] = None
                 if h_end > h_start:
                     # copy=True: these arrays outlive the arena's segments
@@ -636,30 +688,27 @@ def _execute_shm(
                     counters["harvest_spills"] += len(spill)
                     harvested.update(spill)
                 res = _result_from_row(cell, rows[index], error, details)
-                res.attempts = attempt
-                finish(res)
+                if policy.settles(res):
+                    res.attempts = attempt
+                    res.failure_log = log
+                    finish(res)
+                else:
+                    fail(cell, attempt, log, error)
 
-        def recover(cell: SweepCell, attempt: int) -> None:
-            """A worker died mid-cell: requeue once, then run inline."""
-            if attempt < 2:
-                counters["requeued_cells"] += 1
-                ready.append((cell, attempt + 1))
-                return
-            counters["inline_recoveries"] += 1
-            res, new = _exec_cell(cell)
-            res.attempts = attempt
-            harvested.update(new)
-            finish(res)
+        def retire(w: dict[str, Any]) -> None:
+            """Kill a dead or overrunning worker; replace it while work remains."""
+            kill_worker(w)
+            if completed < len(cells):
+                w.update(spawn())
+                counters["worker_replacements"] += 1
 
-        def replace(w: dict[str, Any]) -> None:
-            proc = w["proc"]
-            if proc.is_alive():
-                proc.kill()
-            proc.join(timeout=5)
-            w["conn"].close()
-            w.update(spawn())
-            counters["worker_replacements"] += 1
+        def next_ready(tnow: float) -> tuple[SweepCell, int, float, list[str]] | None:
+            for i, job in enumerate(ready):
+                if job[2] <= tnow:
+                    return ready.pop(i)
+            return None
 
+        timeout = math.inf if cell_timeout_s is None else cell_timeout_s
         workers_live = [spawn() for _ in range(workers)]
         try:
             while completed < len(cells):
@@ -668,273 +717,83 @@ def _execute_shm(
                     if w["conn"] in readable:
                         consume(w)
 
+                tnow = time.monotonic()
                 for w in workers_live:
-                    if not w["proc"].is_alive():
+                    proc = w["proc"]
+                    if not proc.is_alive():
                         consume(w)  # the result may have raced the death
                         if w["job"] is not None:
-                            cell, attempt = w["job"]
+                            cell, attempt, log, _ = w["job"]
                             w["job"] = None
                             counters["worker_crashes"] += 1
-                            recover(cell, attempt)
-                        if completed < len(cells):
-                            replace(w)
+                            fail(
+                                cell, attempt, log,
+                                f"worker crash: pid {proc.pid} exited with code "
+                                f"{proc.exitcode} mid-cell",
+                            )
+                        retire(w)
+                    elif w["job"] is not None and tnow > w["job"][3]:
+                        cell, attempt, log, _ = w["job"]
+                        w["job"] = None
+                        counters["timeouts"] += 1
+                        fail(
+                            cell, attempt, log,
+                            f"timeout: cell exceeded {cell_timeout_s:.3g}s "
+                            f"(worker pid {proc.pid} killed)",
+                        )
+                        retire(w)
 
-                # work stealing: the next pending cell goes to whichever
+                # work stealing: the next ready cell goes to whichever
                 # worker is idle right now
+                tnow = time.monotonic()
                 for w in workers_live:
-                    if not ready:
+                    if w["job"] is not None or not w["proc"].is_alive():
+                        continue
+                    job = next_ready(tnow)
+                    if job is None:
                         break
-                    if w["job"] is None and w["proc"].is_alive():
-                        job = ready.pop(0)
-                        w["job"] = job
-                        w["task_q"].put(job[0])
+                    cell, attempt, _, log = job
+                    w["job"] = (cell, attempt, log, tnow + timeout)
+                    w["task_q"].put(cell)
         finally:
-            for w in workers_live:
-                if w["proc"].is_alive():
-                    try:
-                        w["task_q"].put(None)
-                    except Exception:
-                        pass
-            for w in workers_live:
-                w["proc"].join(timeout=2)
-                if w["proc"].is_alive():
-                    w["proc"].kill()
-                    w["proc"].join(timeout=5)
-                w["conn"].close()
+            stop_workers(workers_live)
         info["segments"] = len(arena._segments)
     finally:
         arena.close()
         _SHM_SPEC = None
-    return {**info, **counters}
+    return info
 
 
-def _execute_resilient(
+def _execute_inline(
     cells: Sequence[SweepCell],
-    ctx: mp.context.BaseContext,
-    state: dict[str, Any],
-    store_file: Path | None,
+    policy: _RetryPolicy,
     *,
-    workers: int,
-    cell_timeout_s: float | None,
-    max_attempts: int,
-    retry_backoff_s: float,
     results: list[CellResult | None],
     harvested: dict[bytes, np.ndarray],
     on_result: Callable[[], None] | None = None,
-) -> dict[str, Any]:
-    """The supervised worker pool (see "Self-healing execution" above).
-
-    Each worker owns a private task queue (so the parent always knows
-    which cell a dead worker was holding) and a private result pipe
-    (single writer — killing a worker can never leave a shared queue
-    lock held and wedge its siblings).  The parent polls results,
-    liveness, and deadlines; a worker that dies or overruns is killed
-    and replaced by a fresh process, and its cell is retried or
-    quarantined.
-    """
-    from multiprocessing.connection import wait as _conn_wait
-
-    init_state = None if ctx.get_start_method() == "fork" else state
-    store_arg = str(store_file) if store_file else None
-    counters = {
-        "retries": 0,
-        "timeouts": 0,
-        "worker_crashes": 0,
-        "worker_replacements": 0,
-        "quarantined": 0,
-    }
-
-    def spawn() -> dict[str, Any]:
-        task_q = ctx.SimpleQueue()
-        recv_conn, send_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_resilient_worker_main,
-            args=(init_state, store_arg, task_q, send_conn),
-            daemon=True,
-        )
-        proc.start()
-        send_conn.close()  # parent keeps only the read end
-        return {
-            "proc": proc,
-            "task_q": task_q,
-            "conn": recv_conn,
-            "job": None,
-            "deadline": None,
-        }
-
-    # (cell, attempt, earliest start, failure log) — attempt counts from 1
-    ready: list[tuple[SweepCell, int, float, list[str]]] = [
-        (cell, 1, 0.0, []) for cell in cells
-    ]
-    completed = 0
-
-    def record_failure(cell: SweepCell, attempt: int, log: list[str], msg: str) -> None:
-        nonlocal completed
-        log.append(f"attempt {attempt}: {msg}")
-        if attempt >= max_attempts:
-            results[cell.index] = _quarantined_result(cell, attempt, log)
-            counters["quarantined"] += 1
-            completed += 1
-            if on_result is not None:
-                on_result()
-        else:
-            counters["retries"] += 1
-            not_before = time.monotonic() + _retry_delay_s(retry_backoff_s, attempt)
-            ready.append((cell, attempt + 1, not_before, log))
-
-    def consume(w: dict[str, Any]) -> None:
-        """Handle everything currently readable on one worker's pipe."""
-        nonlocal completed
-        while True:
-            try:
-                if not w["conn"].poll():
-                    return
-                index, res, new, transport_err = w["conn"].recv()
-            except (EOFError, OSError):
-                return  # peer died; liveness polling recovers the cell
-            job = w["job"]
-            if job is None or job[0].index != index:
-                continue  # result of a task the parent already gave up on
-            w["job"] = None
-            w["deadline"] = None
-            cell, attempt, log = job
-            if transport_err is None and res is not None and res.error is None:
-                res.attempts = attempt
-                res.failure_log = log
-                results[index] = res
-                harvested.update(new)
-                completed += 1
-                if on_result is not None:
-                    on_result()
-            else:
-                record_failure(cell, attempt, log, transport_err or res.error)
-
-    def replace(w: dict[str, Any]) -> None:
-        proc = w["proc"]
-        if proc.is_alive():
-            proc.kill()
-        proc.join(timeout=5)
-        w["conn"].close()
-        w.update(spawn())
-        counters["worker_replacements"] += 1
-
-    workers_live = [spawn() for _ in range(workers)]
-    try:
-        while completed < len(cells):
-            readable = _conn_wait([w["conn"] for w in workers_live], timeout=0.02)
-            for w in workers_live:
-                if w["conn"] in readable:
-                    consume(w)
-
-            tnow = time.monotonic()
-            for w in workers_live:
-                if w["job"] is not None:
-                    if not w["proc"].is_alive():
-                        consume(w)  # the result may have raced the death
-                        if w["job"] is None:
-                            replace(w)
-                            continue
-                        cell, attempt, log = w["job"]
-                        pid, code = w["proc"].pid, w["proc"].exitcode
-                        w["job"] = None
-                        counters["worker_crashes"] += 1
-                        record_failure(
-                            cell, attempt, log,
-                            f"worker crash: pid {pid} exited with code {code} mid-cell",
-                        )
-                        replace(w)
-                    elif w["deadline"] is not None and tnow > w["deadline"]:
-                        cell, attempt, log = w["job"]
-                        pid = w["proc"].pid
-                        w["job"] = None
-                        counters["timeouts"] += 1
-                        record_failure(
-                            cell, attempt, log,
-                            f"timeout: cell exceeded {cell_timeout_s:.3g}s "
-                            f"(worker pid {pid} killed)",
-                        )
-                        replace(w)
-                elif not w["proc"].is_alive():
-                    counters["worker_crashes"] += 1
-                    replace(w)
-
-            tnow = time.monotonic()
-            for w in workers_live:
-                if completed >= len(cells) or not ready:
-                    break
-                if w["job"] is not None:
-                    continue
-                for i, (cell, attempt, not_before, log) in enumerate(ready):
-                    if not_before <= tnow:
-                        del ready[i]
-                        w["job"] = (cell, attempt, log)
-                        if cell_timeout_s is not None:
-                            w["deadline"] = tnow + cell_timeout_s
-                        w["task_q"].put(cell)
-                        break
-    finally:
-        for w in workers_live:
-            if w["proc"].is_alive():
-                try:
-                    w["task_q"].put(None)
-                except Exception:
-                    pass
-        for w in workers_live:
-            w["proc"].join(timeout=2)
-            if w["proc"].is_alive():
-                w["proc"].kill()
-                w["proc"].join(timeout=5)
-            w["conn"].close()
-
-    return counters
-
-
-def _execute_resilient_serial(
-    cells: Sequence[SweepCell],
-    *,
-    max_attempts: int,
-    retry_backoff_s: float,
-    results: list[CellResult | None],
-    harvested: dict[bytes, np.ndarray],
-    on_result: Callable[[], None] | None = None,
-) -> dict[str, Any]:
-    """In-process retries + quarantine: the degraded mode when the work
-    spec cannot reach worker processes.  No preemption — a hung cell
-    hangs the sweep — but poisoned cells are still retried and
-    quarantined."""
-    counters = {
-        "retries": 0,
-        "timeouts": 0,
-        "worker_crashes": 0,
-        "worker_replacements": 0,
-        "quarantined": 0,
-    }
+) -> None:
+    """Run cells one after another in this process under ``policy``: the
+    same retries and quarantine as the worker engine, but no preemption —
+    a hung cell hangs the sweep."""
+    _worker_init()
     for cell in cells:
-        log: list[str] = []
-        attempt = 1
+        attempt, log = 1, []
         while True:
             res, new = _exec_cell(cell)
-            if res.error is None:
+            harvested.update(new)
+            if policy.settles(res):
                 res.attempts = attempt
                 res.failure_log = log
-                results[cell.index] = res
-                harvested.update(new)
-                if on_result is not None:
-                    on_result()
                 break
-            log.append(f"attempt {attempt}: {res.error}")
-            if attempt >= max_attempts:
-                results[cell.index] = _quarantined_result(cell, attempt, log)
-                counters["quarantined"] += 1
-                if on_result is not None:
-                    on_result()
+            final = policy.fail(cell, attempt, log, res.error)
+            if final is not None:
+                res = final
                 break
-            counters["retries"] += 1
-            delay = _retry_delay_s(retry_backoff_s, attempt)
-            if delay:
-                time.sleep(delay)
+            time.sleep(policy.delay_s(attempt))
             attempt += 1
-    return counters
+        results[cell.index] = res
+        if on_result is not None:
+            on_result()
 
 
 def execute_cells(
@@ -969,11 +828,11 @@ def execute_cells(
     records).  See the module docstring for the determinism and cache
     contracts.
 
-    ``cell_timeout_s`` / ``max_attempts`` / ``retry_backoff_s`` engage
-    the self-healing engine (see the module docstring): cells that hang,
-    crash their worker, or raise are retried with exponential backoff on
-    a fresh worker and quarantined after ``max_attempts`` failures, and
-    the sweep always completes with a per-cell ``status``.
+    ``cell_timeout_s`` / ``max_attempts`` / ``retry_backoff_s`` select
+    the self-healing retry policy (see the module docstring): cells that
+    hang, crash their worker, or raise are retried with exponential
+    backoff on a fresh worker and quarantined after ``max_attempts``
+    failures, and the sweep always completes with a per-cell ``status``.
 
     ``checkpoint_dir`` engages crash-safe checkpointing (see
     :mod:`repro.analysis.checkpoint`): every ``checkpoint_every``
@@ -985,16 +844,15 @@ def execute_cells(
     ``CellResult.restored``; a mid-sweep ``kill -9`` costs at most the
     cells that had not yet been checkpointed.
 
-    ``engine`` selects the plain parallel path's transport: ``"auto"``
-    (the default) runs the zero-copy shared-memory work-stealing engine
-    and falls back to the pickling process pool when segments cannot be
-    created; ``"shm"`` pins the shared-memory engine (raising when it is
-    unavailable); ``"pool"`` pins the historical pool.  Serial and
-    self-healing (``cell_timeout_s`` / ``max_attempts``) runs ignore it.
+    ``engine`` says what happens on a host where shared-memory segments
+    cannot be created: ``"auto"`` (the default) runs the sweep in-process
+    and records why in ``stats["fallback"]``; ``"shm"`` raises
+    ``RuntimeError``.  Every multi-process run uses the shared-memory
+    engine.
     """
     global _STATE
-    if engine not in ("auto", "shm", "pool"):
-        raise ValueError("engine must be one of 'auto', 'shm', 'pool'")
+    if engine not in ("auto", "shm"):
+        raise ValueError(f"engine must be 'auto' or 'shm', got {engine!r}")
     if cell_timeout_s is not None and cell_timeout_s <= 0:
         raise ValueError("cell_timeout_s must be positive (None = no timeout)")
     if max_attempts < 1:
@@ -1074,108 +932,56 @@ def execute_cells(
         "persist": store_file is not None,
         "detail": detail,
     }
+    _STATE = state  # inherited by forked workers; read by the in-process loop
 
     t0 = time.perf_counter()
     harvested: dict[bytes, np.ndarray] = {}
-    mode = "serial"
+    policy = _RetryPolicy(
+        resilient=resilient, max_attempts=max_attempts, backoff_s=retry_backoff_s
+    )
+    shm_info: dict[str, Any] | None = None
     fallback_reason = None
-    resilience_counters: dict[str, Any] | None = None
-    shm_stats: dict[str, Any] | None = None
-
-    ctx = _preferred_context()
-    spec_reaches_workers = True
-    if ctx.get_start_method() != "fork":
-        try:
-            pickle.dumps(state)
-        except Exception as exc:
-            spec_reaches_workers = False
-            fallback_reason = (
-                f"work spec not picklable under {ctx.get_start_method()!r} "
-                f"start method ({type(exc).__name__}); ran serially"
-            )
-
-    if resilient:
-        # timeout enforcement needs a killable process, so the supervised
-        # pool is used even at workers=1
-        if spec_reaches_workers:
-            mode = f"resilient-{ctx.get_start_method()}"
-            _STATE = state  # inherited by forked children
-            resilience_counters = _execute_resilient(
-                pending_cells, ctx, state, store_file,
-                workers=workers_effective,
-                cell_timeout_s=cell_timeout_s,
-                max_attempts=max_attempts,
-                retry_backoff_s=retry_backoff_s,
-                results=results,
-                harvested=harvested,
-                on_result=on_result,
-            )
-        else:
-            mode = "resilient-serial"
-            fallback_reason += "; retries in-process, no timeout preemption"
-            workers_effective = 1
-            _STATE = state
-            _worker_init(None, str(store_file) if store_file else None)
-            resilience_counters = _execute_resilient_serial(
-                pending_cells,
-                max_attempts=max_attempts,
-                retry_backoff_s=retry_backoff_s,
-                results=results,
-                harvested=harvested,
-                on_result=on_result,
-            )
+    ctx = preferred_context()
+    method = ctx.get_start_method()
+    # self-healing runs use a worker even at workers=1: a deadline needs
+    # a killable process, and a crash must not take this process down
+    if workers_effective > 1 or resilient:
+        if method != "fork":
+            try:
+                pickle.dumps(state)
+            except Exception as exc:
+                fallback_reason = (
+                    f"work spec not picklable under {method!r} "
+                    f"start method ({type(exc).__name__}); ran serially"
+                )
+        if fallback_reason is None:
+            try:
+                shm_info = _execute_shm(
+                    pending_cells, ctx, state, policy,
+                    workers=workers_effective,
+                    cell_timeout_s=cell_timeout_s,
+                    num_rows=len(results),
+                    results=results,
+                    harvested=harvested,
+                    on_result=on_result,
+                )
+            except _ShmUnavailable as exc:
+                if engine == "shm":
+                    raise
+                fallback_reason = f"{exc}; ran serially"
+    if shm_info is not None:
+        mode = f"{'resilient' if resilient else 'shm'}-{method}"
     else:
-        if workers_effective > 1 and not spec_reaches_workers:
-            workers_effective = 1
-        if workers_effective > 1:
-            _STATE = state  # inherited by forked children (and used by
-            # the shm engine's inline crash recovery)
-            used_shm = False
-            if engine in ("auto", "shm"):
-                try:
-                    shm_stats = _execute_shm(
-                        pending_cells, ctx, state,
-                        workers=workers_effective,
-                        num_rows=len(results),
-                        results=results,
-                        harvested=harvested,
-                        on_result=on_result,
-                    )
-                    mode = f"shm-{ctx.get_start_method()}"
-                    used_shm = True
-                except _ShmUnavailable as exc:
-                    if engine == "shm":
-                        raise
-                    fallback_reason = f"{exc}; used the pickling process pool"
-            if not used_shm:
-                mode = ctx.get_start_method()
-                init_state = None if mode == "fork" else state
-                with ProcessPoolExecutor(
-                    max_workers=workers_effective,
-                    mp_context=ctx,
-                    initializer=_worker_init,
-                    initargs=(init_state, str(store_file) if store_file else None),
-                ) as pool:
-                    pending = {pool.submit(_exec_cell, cell) for cell in pending_cells}
-                    while pending:
-                        done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                        for fut in done:
-                            res, new = fut.result()
-                            results[res.index] = res
-                            harvested.update(new)
-                            if on_result is not None:
-                                on_result()
-        else:
-            _STATE = state
-            _worker_init(None, str(store_file) if store_file else None)
-            for cell in pending_cells:
-                res, new = _exec_cell(cell)
-                results[res.index] = res
-                harvested.update(new)
-                if on_result is not None:
-                    on_result()
-        if fallback_reason and workers_requested <= 1:
-            fallback_reason = None  # serial was requested anyway
+        mode = "resilient-serial" if resilient else "serial"
+        workers_effective = 1
+        if fallback_reason and resilient:
+            fallback_reason += "; retries in-process, no timeout preemption"
+        _execute_inline(
+            pending_cells, policy,
+            results=results,
+            harvested=harvested,
+            on_result=on_result,
+        )
 
     wall_s = time.perf_counter() - t0
     out = [r for r in results if r is not None]
@@ -1188,10 +994,11 @@ def execute_cells(
         merged_new = cache.merge(harvested)
         # keep counters honest in serial modes, where the worker cache *is*
         # the parent cache and harvested entries are already present
-        in_process = mode in ("serial", "resilient-serial")
         store_stats = save_store(store_file, cache)
         store_stats["warm_entries_loaded"] = warm_loaded
-        store_stats["new_schedules_merged"] = len(harvested) if in_process else merged_new
+        store_stats["new_schedules_merged"] = (
+            merged_new if shm_info is not None else len(harvested)
+        )
 
     busy = sum(r.wall_s for r in out if not r.restored)
     stats = {
@@ -1226,8 +1033,9 @@ def execute_cells(
             "executed_cells": len(pending_cells),
             "saves": checkpoint_saves,
         }
-    if shm_stats is not None:
-        stats["shm"] = shm_stats
+    counters = policy.counters
+    if shm_info is not None:
+        stats["shm"] = {**shm_info, **counters}
         executed = [r for r in out if not r.restored]
         baseline = sum(r.payload_baseline_bytes for r in executed)
         shipped = sum(r.payload_shipped_bytes for r in executed)
@@ -1236,13 +1044,17 @@ def execute_cells(
             "shipped_bytes": shipped,
             "reduction_x": (baseline / shipped) if shipped else None,
         }
-    if resilience_counters is not None:
+    if resilient:
         stats["resilience"] = {
             "cell_timeout_s": cell_timeout_s,
             "max_attempts": max_attempts,
             "retry_backoff_s": retry_backoff_s,
-            "preemptive": mode != "resilient-serial",
-            **resilience_counters,
+            "preemptive": shm_info is not None,
+            "retries": counters["requeued_cells"],
+            "timeouts": counters["timeouts"],
+            "worker_crashes": counters["worker_crashes"],
+            "worker_replacements": counters["worker_replacements"],
+            "quarantined": counters["quarantined"],
         }
     if fallback_reason:
         stats["fallback"] = fallback_reason

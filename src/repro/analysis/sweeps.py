@@ -148,9 +148,11 @@ def run_sweep(
       reports restored/executed counts.  When ``checkpoint_dir`` is
       ``None``, the ``REPRO_SWEEP_CHECKPOINT_DIR`` environment variable
       (:func:`repro.envconfig.env_checkpoint_dir`) supplies the default.
-    * ``engine`` — transport of the plain parallel path: ``"auto"``
-      (zero-copy shared-memory work stealing, pool fallback), ``"shm"``,
-      or ``"pool"`` (see :func:`repro.analysis.executor.execute_cells`).
+    * ``engine`` — ``"auto"`` or ``"shm"``: every multi-process sweep runs
+      on the zero-copy shared-memory work-stealing engine; on a host that
+      cannot create segments, ``"auto"`` runs the sweep in-process (the
+      reason lands in ``stats["fallback"]``) and ``"shm"`` raises (see
+      :func:`repro.analysis.executor.execute_cells`).
     """
     if checkpoint_dir is None:
         checkpoint_dir = env_checkpoint_dir()

@@ -1,12 +1,16 @@
 """Resident worker pool for the serving front end.
 
-The sweep executor (PR 2/6) spins a pool up per sweep and tears it down;
-a serving layer needs workers that outlive any one request.  This module
-provides that: :class:`ServePool` forks ``workers`` resident processes
-from :func:`repro.analysis.executor.preferred_context`, each owning a
-private task queue and a one-writer result pipe (the PR 4/6 discipline —
-a killed worker can never leave a shared queue lock held), and dispatches
-one *batch* of coalesced jobs at a time to whichever worker is idle.
+The sweep executor spins workers up per sweep and tears them down; a
+serving layer needs workers that outlive any one request.  This module
+provides that: :class:`ServePool` starts ``workers`` resident processes
+through the worker lifecycle it shares with the sweep engine
+(:func:`repro.analysis.executor.spawn_worker`, ``kill_worker`` and
+``stop_workers``, on :func:`~repro.analysis.executor.preferred_context`):
+each worker owns a private task queue and a one-writer result pipe (a
+killed worker can never leave a shared queue lock held), a dead or
+wedged worker is killed and replaced, and shutdown sends a sentinel and
+then kills stragglers.  The pool dispatches one *batch* of coalesced
+jobs at a time to whichever worker is idle.
 
 Data plane
 ----------
@@ -53,7 +57,12 @@ import time
 from typing import Any
 
 from repro.analysis import shm
-from repro.analysis.executor import preferred_context
+from repro.analysis.executor import (
+    kill_worker,
+    preferred_context,
+    spawn_worker,
+    stop_workers,
+)
 from repro.model.plan import (
     default_plan_cache,
     load_plans_sharded,
@@ -221,25 +230,12 @@ class ServePool:
     # Worker lifecycle
     # ------------------------------------------------------------------ #
     def _spawn(self) -> dict[str, Any]:
-        task_q = self._ctx.SimpleQueue()
-        recv_conn, send_conn = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_serve_worker_main,
-            args=(self.cache_dir, task_q, send_conn),
-            daemon=True,
-        )
-        proc.start()
-        send_conn.close()  # parent keeps only the read end
-        w = {"proc": proc, "task_q": task_q, "conn": recv_conn}
+        w = spawn_worker(self._ctx, _serve_worker_main, self.cache_dir)
         self._live.append(w)
         return w
 
     def _replace(self, w: dict[str, Any]) -> None:
-        proc = w["proc"]
-        if proc.is_alive():
-            proc.kill()
-        proc.join(timeout=5)
-        w["conn"].close()
+        kill_worker(w)
         self._live.remove(w)
         self.counters["worker_replacements"] += 1
         self._idle.put(self._spawn())
@@ -249,21 +245,7 @@ class ServePool:
         if self._closed:
             return
         self._closed = True
-        for w in self._live:
-            if w["proc"].is_alive():
-                try:
-                    w["task_q"].put(None)
-                except Exception:
-                    pass
-        for w in self._live:
-            w["proc"].join(timeout=2)
-            if w["proc"].is_alive():
-                w["proc"].kill()
-                w["proc"].join(timeout=5)
-            try:
-                w["conn"].close()
-            except Exception:
-                pass
+        stop_workers(self._live)
         self._live.clear()
 
     def __enter__(self) -> "ServePool":
