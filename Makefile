@@ -42,15 +42,16 @@ cert-smoke:
 		pytest benchmarks/bench_resilience.py --benchmark-only -k certification
 
 # Kernel + zero-copy executor smoke: backend parity (Numba/NumPy
-# bit-identity, silent-fallback reporting) and the shared-memory
-# work-stealing engine (serial equivalence, crash recovery, segment
-# hygiene, and the self-healing timeout/retry/quarantine policy it also
-# runs), then the sweep bench with two workers so BENCH_sweeps.json
+# bit-identity, silent-fallback reporting), the local-step folds against
+# their recorded goldens (so they run on both kernel backends), and the
+# shared-memory work-stealing engine (serial equivalence, crash recovery,
+# segment hygiene, and the self-healing timeout/retry/quarantine policy
+# it also runs), then the sweep bench with two workers so BENCH_sweeps.json
 # records the shm engine's per-cell payload accounting.  Runs the same
 # whether or not the `perf` extra (Numba) is installed — the JSON's
 # "kernels" note names the active backend.
 kernel-smoke:
-	pytest tests/test_kernels.py tests/test_shm_executor.py tests/test_executor_resilience.py -q
+	pytest tests/test_kernels.py tests/test_local_fold.py tests/test_shm_executor.py tests/test_executor_resilience.py -q
 	REPRO_BENCH_SMOKE=1 REPRO_BENCH_WORKERS=2 \
 		pytest benchmarks/bench_sweep_executor.py --benchmark-only
 

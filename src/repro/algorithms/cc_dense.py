@@ -19,15 +19,13 @@ The test-suite checks both directions of the §1.5 relationship:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.algorithms.base import (
     MultiplyResult,
-    accumulate_at_owner,
+    accumulate_at_owners,
     finalize_result,
     init_outputs,
 )
-from repro.algorithms.dense import _block_bounds, _block_of, _cell_computer, _grid_side
+from repro.algorithms.dense import _block_table, _cell_computer, _grid_partials, _grid_side
 from repro.model.congested_clique import CongestedCliqueNetwork
 from repro.model.network import LowBandwidthNetwork, Message
 from repro.supported.instance import SupportedInstance
@@ -51,13 +49,13 @@ def cc_dense_3d(
     n = inst.n
     sr = inst.semiring
     q = _grid_side(n)
-    bounds = _block_bounds(n, q)
+    table = _block_table(n, q)
+    block = table.tolist()
 
     # Phase 1: pull A blocks — message (owner -> cell) per element/layer
     messages: list[Message] = []
     for (i, j), owner in inst.owner_a.items():
-        fb = int(_block_of(np.int64(i), bounds))
-        sb = int(_block_of(np.int64(j), bounds))
+        fb, sb = block[i], block[j]
         for layer in range(q):
             cell = _cell_computer(fb, sb, layer, q)
             messages.append(Message(owner, cell, ("A", i, j), ("A", i, j)))
@@ -65,40 +63,26 @@ def cc_dense_3d(
 
     messages = []
     for (j, k), owner in inst.owner_b.items():
-        fb = int(_block_of(np.int64(j), bounds))
-        sb = int(_block_of(np.int64(k), bounds))
+        fb, sb = block[j], block[k]
         for layer in range(q):
             cell = _cell_computer(layer, fb, sb, q)
             messages.append(Message(owner, cell, ("B", j, k), ("B", j, k)))
     cc.route(messages, label="cc3d/B")
 
     # Local multiply (free), pre-aggregated per cell
-    tri = inst.triangles.triangles
-    zero = sr.scalar(sr.zero)
-    partials: dict[tuple[int, int, int, int], object] = {}
-    if tri.shape[0]:
-        ab = _block_of(tri[:, 0], bounds)
-        jb = _block_of(tri[:, 1], bounds)
-        kb = _block_of(tri[:, 2], bounds)
-        cells = _cell_computer(ab, jb, kb, q)
-        for t in range(tri.shape[0]):
-            i, j, k = int(tri[t, 0]), int(tri[t, 1]), int(tri[t, 2])
-            cell = int(cells[t])
-            prod = sr.mul(lb.read(cell, ("A", i, j)), lb.read(cell, ("B", j, k)))
-            pkey = (int(jb[t]), i, k, cell)
-            partials[pkey] = sr.add(partials[pkey], prod) if pkey in partials else prod
+    pb, pi, pk, pcell = _grid_partials(lb, sr, inst.triangles.triangles, table, q)
 
     # Phase 3: partials -> owners, one word per ordered pair per round
     messages = []
-    accs = []
-    for (b, i, k, cell), val in partials.items():
-        lb.write(cell, ("P3", b, i, k), val, provenance=())
+    owners, xkeys, dkeys = [], [], []
+    for b, i, k, cell in zip(pb.tolist(), pi.tolist(), pk.tolist(), pcell.tolist()):
         owner = inst.owner_x[(i, k)]
         messages.append(Message(cell, owner, ("P3", b, i, k), ("P3in", b, i, k)))
-        accs.append((owner, i, k, ("P3in", b, i, k)))
+        owners.append(owner)
+        xkeys.append(("X", i, k))
+        dkeys.append(("P3in", b, i, k))
     cc.route(messages, label="cc3d/agg")
-    for owner, i, k, key in accs:
-        accumulate_at_owner(lb, inst, owner, i, k, lb.read(owner, key), provenance=(key,))
+    accumulate_at_owners(lb, sr, owners, xkeys, lb.read_many(owners, dkeys, sr.dtype))
 
     result = finalize_result(lb, inst, "cc_dense_3d", details={"cc_rounds": cc.cc_rounds})
     return result, cc.cc_rounds

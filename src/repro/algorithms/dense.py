@@ -39,6 +39,7 @@ kernel used by Theorem 4.2's first phase (Lemma 2.1):
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -46,9 +47,12 @@ import numpy as np
 
 from repro.algorithms.base import (
     MultiplyResult,
-    accumulate_at_owner,
+    accumulate_at_owners,
     finalize_result,
+    group_ids,
     init_outputs,
+    local_products,
+    ordered_fold,
 )
 from repro.model.network import LowBandwidthNetwork
 from repro.supported.clustering import Cluster
@@ -74,6 +78,16 @@ def _block_bounds(n: int, q: int) -> np.ndarray:
 
 def _block_of(idx: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return np.clip(np.searchsorted(bounds, idx, side="right") - 1, 0, bounds.size - 2)
+
+
+@functools.lru_cache(maxsize=256)
+def _block_table(size: int, q: int) -> np.ndarray:
+    """Block index of every coordinate in ``[0, size)`` under the q-way
+    split of :func:`_block_bounds` — ``_block_of`` tabulated once, so
+    lookups are plain indexing."""
+    table = _block_of(np.arange(size, dtype=np.int64), _block_bounds(size, q))
+    table.setflags(write=False)
+    return table
 
 
 def _cell_computer(a, b, c, q: int):
@@ -122,7 +136,7 @@ def _run_3d(
     n = inst.n
     sr = inst.semiring
     q = _grid_side(n)
-    bounds = _block_bounds(n, q)
+    block = _block_table(n, q)
 
     # entry arrays in dict insertion order (row-major, matching the sorted
     # coo layout used by the owner lookups)
@@ -138,8 +152,8 @@ def _run_3d(
         inst.owner_of_a(a_rows, a_cols),
         a_rows,
         a_cols,
-        _block_of(a_rows, bounds),
-        _block_of(a_cols, bounds),
+        block[a_rows],
+        block[a_cols],
         q,
         lambda fb, sb, c: _cell_computer(fb, sb, c, q),
         "A",
@@ -151,8 +165,8 @@ def _run_3d(
         inst.owner_of_b(b_rows, b_cols),
         b_rows,
         b_cols,
-        _block_of(b_rows, bounds),
-        _block_of(b_cols, bounds),
+        block[b_rows],
+        block[b_cols],
         q,
         lambda fb, sb, a: _cell_computer(a, fb, sb, q),
         "B",
@@ -161,65 +175,79 @@ def _run_3d(
 
     # Phase 3: local block products.  Each cell (a, b, c) owns the partial
     # X[I_a, K_c] contribution summed over j in J_b.
-    # Organize support by cell using the triangle set (preprocessing).
-    tri = inst.triangles.triangles
-    partials: dict[tuple[int, int, int, int], object] = {}
-    zero = sr.scalar(sr.zero)
-    if tri.shape[0]:
-        ab = _block_of(tri[:, 0], bounds)
-        jb = _block_of(tri[:, 1], bounds)
-        kb = _block_of(tri[:, 2], bounds)
-        cells = _cell_computer(ab, jb, kb, q)
-        for t in range(tri.shape[0]):
-            i, j, k = int(tri[t, 0]), int(tri[t, 1]), int(tri[t, 2])
-            cell = int(cells[t])
-            prod = sr.mul(net.read(cell, ("A", i, j)), net.read(cell, ("B", j, k)))
-            pkey = (int(jb[t]), i, k, cell)
-            if pkey in partials:
-                partials[pkey] = sr.add(partials[pkey], prod)
-            else:
-                partials[pkey] = prod
-        for (b, i, k, cell), val in partials.items():
-            net.write(cell, ("P3", b, i, k), val, provenance=())
+    pb, pi, pk, pcell = _grid_partials(net, sr, inst.triangles.triangles, block, q)
 
     # Phase 4: partial sums -> output owners (one message per requested
     # entry per middle-block layer that touched it).
-    src, dst, skeys, dkeys, accs = [], [], [], [], []
     if dense_local:
         # dense accounting: every cell ships its full X block (requested
         # entries) whether or not the partial is nonzero — missing partials
         # are materialized as zeros locally first
-        for (i, k), owner in inst.owner_x.items():
-            ib = int(_block_of(np.int64(i), bounds))
-            kb_ = int(_block_of(np.int64(k), bounds))
-            for b in range(q):
-                cell = _cell_computer(ib, b, kb_, q)
-                if ("P3", b, i, k) not in net.mem[cell]:
-                    net.write(cell, ("P3", b, i, k), zero, provenance=())
-                src.append(cell)
-                dst.append(owner)
-                skeys.append(("P3", b, i, k))
-                dkeys.append(("P3in", b, i, k))
-                accs.append((owner, i, k, ("P3in", b, i, k)))
+        nx = len(inst.owner_x)
+        xi = np.fromiter((i for (i, _) in inst.owner_x), dtype=np.int64, count=nx)
+        xk = np.fromiter((k for (_, k) in inst.owner_x), dtype=np.int64, count=nx)
+        owners = np.repeat(np.fromiter(inst.owner_x.values(), dtype=np.int64, count=nx), q)
+        xi, xk = np.repeat(xi, q), np.repeat(xk, q)
+        layer = np.tile(np.arange(q, dtype=np.int64), nx)
+        cells = _cell_computer(block[xi], layer, block[xk], q)
+        missing = ~np.isin((layer * n + xi) * n + xk, (pb * n + pi) * n + pk)
+        net.write_many(
+            cells[missing].tolist(),
+            [("P3", b, i, k) for b, i, k in zip(
+                layer[missing].tolist(), xi[missing].tolist(), xk[missing].tolist()
+            )],
+            sr.zeros(int(missing.sum())),
+        )
+        pb, pi, pk, pcell = layer, xi, xk, cells
     else:
-        for (b, i, k, cell) in partials:
-            owner = inst.owner_x[(i, k)]
-            src.append(cell)
-            dst.append(owner)
-            skeys.append(("P3", b, i, k))
-            dkeys.append(("P3in", b, i, k))
-            accs.append((owner, i, k, ("P3in", b, i, k)))
+        owners = inst.owner_of_x(pi, pk)
+    triples = list(zip(pb.tolist(), pi.tolist(), pk.tolist()))
+    dkeys = [("P3in", b, i, k) for b, i, k in triples]
     net.exchange_arrays(
-        np.asarray(src, dtype=np.int64),
-        np.asarray(dst, dtype=np.int64),
-        skeys,
+        pcell,
+        owners,
+        [("P3", b, i, k) for b, i, k in triples],
         dkeys,
         label=f"{algorithm}/aggregate",
     )
-    for owner, i, k, key in accs:
-        accumulate_at_owner(net, inst, owner, i, k, net.read(owner, key), provenance=(key,))
+    owners = owners.tolist()
+    accumulate_at_owners(
+        net,
+        sr,
+        owners,
+        [("X", i, k) for _, i, k in triples],
+        net.read_many(owners, dkeys, sr.dtype),
+    )
 
     return finalize_result(net, inst, algorithm)
+
+
+def _grid_partials(
+    net: LowBandwidthNetwork, sr, tri: np.ndarray, block: np.ndarray, q: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The 3D pattern's local step: cell ``(a, b, c)`` multiplies its
+    triangles and pre-aggregates them per ``(b, i, k)``, writing each
+    partial under ``("P3", b, i, k)``.  Returns the partials' ``(b, i, k,
+    cell)`` arrays in first-occurrence (triangle) order."""
+    ti, tj, tk = tri[:, 0], tri[:, 1], tri[:, 2]
+    jb = block[tj]
+    cells = _cell_computer(block[ti], jb, block[tk], q)
+    il, jl, kl = ti.tolist(), tj.tolist(), tk.tolist()
+    prods = local_products(
+        net,
+        sr,
+        cells.tolist(),
+        [("A", i, j) for i, j in zip(il, jl)],
+        [("B", j, k) for j, k in zip(jl, kl)],
+    )
+    ids, first = group_ids(jb, ti, tk)
+    pb, pi, pk, pcell = jb[first], ti[first], tk[first], cells[first]
+    net.write_many(
+        pcell.tolist(),
+        [("P3", b, i, k) for b, i, k in zip(pb.tolist(), pi.tolist(), pk.tolist())],
+        ordered_fold(sr, prods, ids, firsts=first),
+    )
+    return pb, pi, pk, pcell
 
 
 def dense_3d(
@@ -298,7 +326,8 @@ def _best_levels(n: int, big_n: int) -> int:
 
 
 def _strassen_home(t: int, g: int, r: int, c: int, m: int, n: int) -> int:
-    """Home computer of element (r, c) of product node ``g`` at level ``t``.
+    """Home computer of element (r, c) of product node ``g`` at level ``t``
+    (``g``, ``r``, ``c`` may also be aligned arrays).
 
     Product nodes own disjoint contiguous computer groups of width
     ``n // 7^t``; within a group elements are spread round-robin.  Once
@@ -308,6 +337,27 @@ def _strassen_home(t: int, g: int, r: int, c: int, m: int, n: int) -> int:
     if width <= 0:
         return g % n
     return g * width + (r * m + c) % width
+
+
+def _node_products(ea: np.ndarray, eb: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of an A element ``(g, r, j)`` (row of ``ea``) and a B
+    element ``(g, j, c)`` (row of ``eb``) of the same product node: the
+    base case's triangles, as index arrays into ``ea`` and ``eb``.
+
+    The order is the nested loop's: nodes by first occurrence (A elements
+    first), A elements in row order within a node, and for each the
+    matching B elements in row order."""
+    node_rank = group_ids(np.concatenate([ea[:, 0], eb[:, 0]]))[0][: len(ea)]
+    a_order = np.argsort(node_rank, kind="stable")
+    b_code = eb[:, 0] * m + eb[:, 1]
+    b_order = np.argsort(b_code, kind="stable")
+    b_sorted = b_code[b_order]
+    a_code = ea[a_order, 0] * m + ea[a_order, 2]
+    lo = np.searchsorted(b_sorted, a_code, side="left")
+    counts = np.searchsorted(b_sorted, a_code, side="right") - lo
+    starts = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    a_idx = np.repeat(a_order, counts)
+    return a_idx, b_order[starts + np.arange(a_idx.size, dtype=np.int64)]
 
 
 def _strassen_base_3d(
@@ -323,108 +373,68 @@ def _strassen_base_3d(
     """Base-case products for :func:`dense_strassen`: within each product
     node's computer group, run the 3D grid pattern (all groups in
     parallel), leaving each C element at its canonical home."""
-    zero = sr.scalar(sr.zero)
-    add = sr.add
-
-    groups: dict[int, None] = {}
-    for (g, _, _) in present_a:
-        groups.setdefault(g)
-    for (g, _, _) in present_b:
-        groups.setdefault(g)
-
     q = _grid_side(max(width, 1))
-    bounds = _block_bounds(m, q)
+    block = _block_table(m, q)
 
-    def group_cell(g: int, a: int, b: int, c: int) -> int:
-        if width <= 0:
-            return g % n
-        return g * width + _cell_computer(a, b, c, q)
+    def group_cell(g, a, b, c):
+        cell = _cell_computer(a, b, c, q)
+        return np.broadcast_to(g % n, cell.shape) if width <= 0 else g * width + cell
+
+    # operand elements (g, r, c) and their homes, in insertion order
+    ea = np.array(list(present_a), dtype=np.int64).reshape(-1, 3)
+    eb = np.array(list(present_b), dtype=np.int64).reshape(-1, 3)
+    home_a = np.fromiter(present_a.values(), dtype=np.int64, count=len(present_a))
+    home_b = np.fromiter(present_b.values(), dtype=np.int64, count=len(present_b))
 
     # route operands to grid cells (replicated along one axis)
-    src, dst, keys = [], [], []
-    a_by_node: dict[int, list[tuple[int, int]]] = {}
-    for (g, r, c), home in present_a.items():
-        a_by_node.setdefault(g, []).append((r, c))
-        rb = int(_block_of(np.int64(r), bounds))
-        cb = int(_block_of(np.int64(c), bounds))
-        for layer in range(q):
-            src.append(home)
-            dst.append(group_cell(g, rb, cb, layer))
-            keys.append(("SA", base_t, g, r, c))
-    b_by_node: dict[int, list[tuple[int, int]]] = {}
-    for (g, r, c), home in present_b.items():
-        b_by_node.setdefault(g, []).append((r, c))
-        rb = int(_block_of(np.int64(r), bounds))
-        cb = int(_block_of(np.int64(c), bounds))
-        for layer in range(q):
-            src.append(home)
-            dst.append(group_cell(g, layer, rb, cb))
-            keys.append(("SB", base_t, g, r, c))
+    layers = np.arange(q, dtype=np.int64)[None, :]
+    ga, ra, ca = ea[:, :1], ea[:, 1:2], ea[:, 2:]
+    gb, rb, cb = eb[:, :1], eb[:, 1:2], eb[:, 2:]
     net.exchange_arrays(
-        np.asarray(src, dtype=np.int64),
-        np.asarray(dst, dtype=np.int64),
-        keys,
+        np.concatenate([np.repeat(home_a, q), np.repeat(home_b, q)]),
+        np.concatenate([
+            group_cell(ga, block[ra], block[ca], layers).ravel(),
+            group_cell(gb, layers, block[rb], block[cb]).ravel(),
+        ]),
+        [("SA", base_t, g, r, c) for g, r, c in ea.tolist() for _ in range(q)]
+        + [("SB", base_t, g, r, c) for g, r, c in eb.tolist() for _ in range(q)],
         label="strassen/base-route",
     )
 
     # local block products per cell, pre-aggregated per (g, r, c, cell)
-    partials: dict[tuple[int, int, int, int], object] = {}
-    for g in groups:
-        a_elems = a_by_node.get(g, [])
-        b_elems = b_by_node.get(g, [])
-        if not a_elems or not b_elems:
-            continue
-        # index B elements by middle coordinate
-        b_by_j: dict[int, list[int]] = {}
-        for (j, c) in b_elems:
-            b_by_j.setdefault(j, []).append(c)
-        for (r, j) in a_elems:
-            cols = b_by_j.get(j)
-            if not cols:
-                continue
-            rb = int(_block_of(np.int64(r), bounds))
-            jb = int(_block_of(np.int64(j), bounds))
-            for c in cols:
-                cb = int(_block_of(np.int64(c), bounds))
-                cell = group_cell(g, rb, jb, cb)
-                prod = sr.mul(
-                    net.read(cell, ("SA", base_t, g, r, j)),
-                    net.read(cell, ("SB", base_t, g, j, c)),
-                )
-                pkey = (g, r, c, cell)
-                if pkey in partials:
-                    partials[pkey] = add(partials[pkey], prod)
-                else:
-                    partials[pkey] = prod
+    a_idx, b_idx = _node_products(ea, eb, m)
+    tg, tr, tj, tc = ea[a_idx, 0], ea[a_idx, 1], ea[a_idx, 2], eb[b_idx, 2]
+    cells = group_cell(tg, block[tr], block[tj], block[tc])
+    gl, rl, jl, cl = tg.tolist(), tr.tolist(), tj.tolist(), tc.tolist()
+    prods = local_products(
+        net,
+        sr,
+        cells.tolist(),
+        [("SA", base_t, g, r, j) for g, r, j in zip(gl, rl, jl)],
+        [("SB", base_t, g, j, c) for g, j, c in zip(gl, jl, cl)],
+    )
+    ids, first = group_ids(tg, tr, tc, cells)
+    pg, pr, pc, pcell = tg[first], tr[first], tc[first], cells[first]
+    quads = list(zip(pg.tolist(), pr.tolist(), pc.tolist(), pcell.tolist()))
+    skeys = [("PB", g, r, c, cell) for g, r, c, cell in quads]
+    net.write_many(pcell.tolist(), skeys, ordered_fold(sr, prods, ids, firsts=first))
 
     # ship partials to the canonical C homes and combine
-    src, dst, skeys, dkeys = [], [], [], []
-    combos: dict[tuple[int, int, int], list] = {}
-    for (g, r, c, cell), val in partials.items():
-        net.write(cell, ("PB", g, r, c, cell), val, provenance=())
-        home = _strassen_home(base_t, g, r, c, m, n)
-        tmp = ("PBin", g, r, c, cell)
-        src.append(cell)
-        dst.append(home)
-        skeys.append(("PB", g, r, c, cell))
-        dkeys.append(tmp)
-        combos.setdefault((g, r, c), []).append(tmp)
-    net.exchange_arrays(
-        np.asarray(src, dtype=np.int64),
-        np.asarray(dst, dtype=np.int64),
-        skeys,
-        dkeys,
-        label="strassen/base-aggregate",
+    homes = _strassen_home(base_t, pg, pr, pc, m, n)
+    dkeys = [("PBin", g, r, c, cell) for g, r, c, cell in quads]
+    net.exchange_arrays(pcell, homes, skeys, dkeys, label="strassen/base-aggregate")
+    homes = homes.tolist()
+    ids, first = group_ids(pg, pr, pc)
+    combined = ordered_fold(
+        sr, net.read_many(homes, dkeys, sr.dtype), ids, seed=sr.zeros(first.size)
     )
-    present_c: dict[tuple[int, int, int], int] = {}
-    for (g, r, c), tmp_keys in combos.items():
-        home = _strassen_home(base_t, g, r, c, m, n)
-        acc = zero
-        for key in tmp_keys:
-            acc = add(acc, net.read(home, key))
-            net.delete(home, key)
-        net.write(home, ("SC", base_t, g, r, c), acc, provenance=())
-        present_c[(g, r, c)] = home
+    present_c = {quads[t][:3]: homes[t] for t in first.tolist()}
+    net.write_many(
+        list(present_c.values()),
+        [("SC", base_t, g, r, c) for g, r, c in present_c],
+        combined,
+    )
+    net.delete_many(homes, dkeys)
     return present_c
 
 
@@ -586,17 +596,15 @@ def dense_strassen(
         present_c = new_present
 
     # ---------------- deliver requested entries ------------------------- #
-    src, dst, skeys, dkeys, accs = [], [], [], [], []
+    src, dst, skeys, dkeys, xkeys = [], [], [], [], []
     for (i, k), owner in inst.owner_x.items():
-        key = ("SC", 0, 0, i, k)
         if (0, i, k) not in present_c:
             continue  # no contribution: owner's zero stands
-        home = present_c[(0, i, k)]
-        src.append(home)
+        src.append(present_c[(0, i, k)])
         dst.append(owner)
-        skeys.append(key)
+        skeys.append(("SC", 0, 0, i, k))
         dkeys.append(("Xin", i, k))
-        accs.append((owner, i, k))
+        xkeys.append(("X", i, k))
     net.exchange_arrays(
         np.asarray(src, dtype=np.int64),
         np.asarray(dst, dtype=np.int64),
@@ -604,10 +612,7 @@ def dense_strassen(
         dkeys,
         label="strassen/deliver",
     )
-    for owner, i, k in accs:
-        accumulate_at_owner(
-            net, inst, owner, i, k, net.read(owner, ("Xin", i, k)), provenance=()
-        )
+    accumulate_at_owners(net, sr, dst, xkeys, net.read_many(dst, dkeys, sr.dtype))
 
     return finalize_result(net, inst, "dense_strassen", details={"levels": levels})
 
@@ -635,13 +640,12 @@ def cluster_solve_3d(
     """
     rounds_before = net.rounds
     sr = inst.semiring
-    zero = sr.scalar(sr.zero)
+    n = inst.n
 
     a_src, a_dst, a_keys = [], [], []
     b_src, b_dst, b_keys = [], [], []
-    local_jobs = []  # (cell_comp, list of triangles) per cluster cell
-
-    n = inst.n
+    # the local step's triangles, grouped by cell: (cluster, cell, triangle)
+    job_cluster, job_cells, job_tris = [], [], []
     for cidx, (cluster, tri) in enumerate(zip(clusters, triangle_arrays)):
         tri = np.asarray(tri, dtype=np.int64).reshape(-1, 3)
         if tri.shape[0] == 0:
@@ -655,91 +659,69 @@ def cluster_solve_3d(
         rank_j[cluster.j_set] = np.arange(cluster.j_set.size)
         rank_k = np.full(n, -1, dtype=np.int64)
         rank_k[cluster.k_set] = np.arange(cluster.k_set.size)
-        bounds_i = _block_bounds(cluster.i_set.size, q)
-        bounds_j = _block_bounds(cluster.j_set.size, q)
-        bounds_k = _block_bounds(cluster.k_set.size, q)
 
-        ab = _block_of(rank_i[tri[:, 0]], bounds_i)
-        jb = _block_of(rank_j[tri[:, 1]], bounds_j)
-        kb = _block_of(rank_k[tri[:, 2]], bounds_k)
+        ab = _block_table(cluster.i_set.size, q)[rank_i[tri[:, 0]]]
+        jb = _block_table(cluster.j_set.size, q)[rank_j[tri[:, 1]]]
+        kb = _block_table(cluster.k_set.size, q)[rank_k[tri[:, 2]]]
         cells = hosts[_cell_computer(ab, jb, kb, q) % hosts.size]
 
         # group triangles by cell
         order = np.argsort(cells, kind="stable")
-        sorted_cells = cells[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sorted_cells[1:] != sorted_cells[:-1]))
-        )
-        ends = np.append(starts[1:], cells.size)
-        for s, e in zip(starts, ends):
-            comp = int(sorted_cells[s])
-            local_jobs.append((comp, [tuple(t) for t in tri[order[s:e]].tolist()]))
+        job_cluster.append(np.full(order.size, cidx, dtype=np.int64))
+        job_cells.append(cells[order])
+        job_tris.append(tri[order])
 
         # distinct A entries used, replicated across the q layers
-        a_keys_arr = tri[:, 0] * n + tri[:, 1]
-        _, first_idx = np.unique(a_keys_arr, return_index=True)
-        for t in first_idx:
-            i, j = int(tri[t, 0]), int(tri[t, 1])
-            owner = inst.owner_a[(i, j)]
-            base = _cell_computer(ab[t], jb[t], np.arange(q), q)
-            for comp in hosts[base % hosts.size]:
-                a_src.append(owner)
-                a_dst.append(int(comp))
-                a_keys.append(("A", i, j))
-        b_keys_arr = tri[:, 1] * n + tri[:, 2]
-        _, first_idx = np.unique(b_keys_arr, return_index=True)
-        for t in first_idx:
-            j, k = int(tri[t, 1]), int(tri[t, 2])
-            owner = inst.owner_b[(j, k)]
-            base = _cell_computer(np.arange(q), jb[t], kb[t], q)
-            for comp in hosts[base % hosts.size]:
-                b_src.append(owner)
-                b_dst.append(int(comp))
-                b_keys.append(("B", j, k))
+        layers = np.arange(q, dtype=np.int64)[None, :]
+        _, first = np.unique(tri[:, 0] * n + tri[:, 1], return_index=True)
+        cell = _cell_computer(ab[first, None], jb[first, None], layers, q)
+        a_src.append(np.repeat(inst.owner_of_a(tri[first, 0], tri[first, 1]), q))
+        a_dst.append(hosts[cell % hosts.size].ravel())
+        a_keys += [("A", i, j) for i, j in tri[first, :2].tolist() for _ in range(q)]
+        _, first = np.unique(tri[:, 1] * n + tri[:, 2], return_index=True)
+        cell = _cell_computer(layers, jb[first, None], kb[first, None], q)
+        b_src.append(np.repeat(inst.owner_of_b(tri[first, 1], tri[first, 2]), q))
+        b_dst.append(hosts[cell % hosts.size].ravel())
+        b_keys += [("B", j, k) for j, k in tri[first, 1:].tolist() for _ in range(q)]
 
-    if not local_jobs:
+    if not job_tris:
         return 0
 
     net.exchange_arrays(
-        np.asarray(a_src, dtype=np.int64),
-        np.asarray(a_dst, dtype=np.int64),
-        a_keys,
-        label=f"{label}/routeA",
+        np.concatenate(a_src), np.concatenate(a_dst), a_keys, label=f"{label}/routeA"
     )
     net.exchange_arrays(
-        np.asarray(b_src, dtype=np.int64),
-        np.asarray(b_dst, dtype=np.int64),
-        b_keys,
-        label=f"{label}/routeB",
+        np.concatenate(b_src), np.concatenate(b_dst), b_keys, label=f"{label}/routeB"
     )
 
-    # local multiply restricted to assigned triangles, pre-aggregated
-    out_src, out_dst, out_skeys, out_dkeys, accs = [], [], [], [], []
-    for comp, tris in local_jobs:
-        partial: dict[tuple[int, int], object] = {}
-        for i, j, k in tris:
-            prod = sr.mul(net.read(comp, ("A", i, j)), net.read(comp, ("B", j, k)))
-            if (i, k) in partial:
-                partial[(i, k)] = sr.add(partial[(i, k)], prod)
-            else:
-                partial[(i, k)] = prod
-        for (i, k), val in partial.items():
-            net.write(comp, ("PC", comp, i, k), val, provenance=())
-            owner = inst.owner_x[(i, k)]
-            out_src.append(comp)
-            out_dst.append(owner)
-            out_skeys.append(("PC", comp, i, k))
-            out_dkeys.append(("PCin", comp, i, k))
-            accs.append((owner, i, k, ("PCin", comp, i, k)))
-
-    net.exchange_arrays(
-        np.asarray(out_src, dtype=np.int64),
-        np.asarray(out_dst, dtype=np.int64),
-        out_skeys,
-        out_dkeys,
-        label=f"{label}/aggregate",
+    # local multiply restricted to assigned triangles, pre-aggregated per
+    # (cluster, cell, i, k)
+    tri = np.concatenate(job_tris)
+    tc = np.concatenate(job_cells)
+    ti, tj, tk = tri[:, 0].tolist(), tri[:, 1].tolist(), tri[:, 2].tolist()
+    prods = local_products(
+        net,
+        sr,
+        tc.tolist(),
+        [("A", i, j) for i, j in zip(ti, tj)],
+        [("B", j, k) for j, k in zip(tj, tk)],
     )
-    for owner, i, k, key in accs:
-        accumulate_at_owner(net, inst, owner, i, k, net.read(owner, key), provenance=(key,))
+    ids, first = group_ids(np.concatenate(job_cluster), tc, tri[:, 0], tri[:, 2])
+    comps, pi, pk = tc[first], tri[first, 0], tri[first, 2]
+    triples = list(zip(comps.tolist(), pi.tolist(), pk.tolist()))
+    skeys = [("PC", c, i, k) for c, i, k in triples]
+    net.write_many(comps.tolist(), skeys, ordered_fold(sr, prods, ids, firsts=first))
+
+    owners = inst.owner_of_x(pi, pk)
+    dkeys = [("PCin", c, i, k) for c, i, k in triples]
+    net.exchange_arrays(comps, owners, skeys, dkeys, label=f"{label}/aggregate")
+    owners = owners.tolist()
+    accumulate_at_owners(
+        net,
+        sr,
+        owners,
+        [("X", i, k) for _, i, k in triples],
+        net.read_many(owners, dkeys, sr.dtype),
+    )
 
     return net.rounds - rounds_before

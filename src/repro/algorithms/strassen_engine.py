@@ -29,15 +29,21 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.algorithms.base import (
+    accumulate_at_owners,
+    group_ids,
+    local_products,
+    ordered_fold,
+)
 from repro.algorithms.dense import (
     _A_COEFF,
     _B_COEFF,
     _C_COEFF,
     _best_levels,
-    _block_bounds,
-    _block_of,
+    _block_table,
     _cell_computer,
     _grid_side,
+    _node_products,
 )
 from repro.model.network import LowBandwidthNetwork, NetworkError
 
@@ -191,8 +197,8 @@ def run_strassen_jobs(
         width = w // (7**base_t)
         q = _grid_side(max(width, 1))
         m = job.padded >> base_t
-        bounds = _block_bounds(m, q)
-        grids[job.jid] = (width, q, m, bounds)
+        grids[job.jid] = (width, q, m)
+        block = _block_table(m, q).tolist()
 
         def group_cell(g, a, b, c, job=job, width=width, q=q):
             if width <= 0:
@@ -201,8 +207,7 @@ def run_strassen_jobs(
 
         for side, presents in (("jSA", present_a), ("jSB", present_b)):
             for (g, r, c), home in presents[job.jid].items():
-                rb = int(_block_of(np.int64(r), bounds))
-                cb = int(_block_of(np.int64(c), bounds))
+                rb, cb = block[r], block[c]
                 for layer in range(q):
                     src.append(home)
                     dst.append(
@@ -218,72 +223,57 @@ def run_strassen_jobs(
 
     # local products per cell, then ship partials to canonical C homes
     src, dst, skeys, dkeys = [], [], [], []
-    combos_c: dict[int, dict] = {job.jid: {} for job in jobs}
+    combines = []  # per job: (homes, tmp keys, group ids, (g, r, c) groups)
     for job in jobs:
-        width, q, m, bounds = grids[job.jid]
-
-        def group_cell(g, a, b, c, job=job, width=width, q=q):
-            if width <= 0:
-                return int(job.computers[g % job.computers.size])
-            return int(job.computers[g * width + _cell_computer(a, b, c, q)])
-
-        a_by_node: dict[int, list] = {}
-        for (g, r, c) in present_a[job.jid]:
-            a_by_node.setdefault(g, []).append((r, c))
-        b_by_node: dict[int, list] = {}
-        for (g, r, c) in present_b[job.jid]:
-            b_by_node.setdefault(g, []).append((r, c))
-
-        partials: dict[tuple[int, int, int, int], object] = {}
-        for g, a_elems in a_by_node.items():
-            b_elems = b_by_node.get(g)
-            if not b_elems:
-                continue
-            b_by_j: dict[int, list[int]] = {}
-            for (j, c) in b_elems:
-                b_by_j.setdefault(j, []).append(c)
-            for (r, j) in a_elems:
-                cols = b_by_j.get(j)
-                if not cols:
-                    continue
-                rb = int(_block_of(np.int64(r), bounds))
-                jb = int(_block_of(np.int64(j), bounds))
-                for c in cols:
-                    cb = int(_block_of(np.int64(c), bounds))
-                    cell = group_cell(g, rb, jb, cb)
-                    prod = sr.mul(
-                        net.read(cell, ("jSA", job.jid, base_t, g, r, j)),
-                        net.read(cell, ("jSB", job.jid, base_t, g, j, c)),
-                    )
-                    pkey = (g, r, c, cell)
-                    partials[pkey] = (
-                        add(partials[pkey], prod) if pkey in partials else prod
-                    )
-        for (g, r, c, cell), val in partials.items():
-            net.write(cell, ("jPB", job.jid, g, r, c, cell), val, provenance=())
-            home = job.home(base_t, g, r, c, m)
-            tmp = ("jPBin", job.jid, g, r, c, cell)
-            src.append(cell)
-            dst.append(home)
-            skeys.append(("jPB", job.jid, g, r, c, cell))
-            dkeys.append(tmp)
-            combos_c[job.jid].setdefault((g, r, c), []).append(tmp)
+        width, q, m = grids[job.jid]
+        block = _block_table(m, q)
+        ea = np.array(list(present_a[job.jid]), dtype=np.int64).reshape(-1, 3)
+        eb = np.array(list(present_b[job.jid]), dtype=np.int64).reshape(-1, 3)
+        a_idx, b_idx = _node_products(ea, eb, m)
+        tg, tr, tj, tc = ea[a_idx, 0], ea[a_idx, 1], ea[a_idx, 2], eb[b_idx, 2]
+        if width <= 0:
+            cells = job.computers[tg % job.computers.size]
+        else:
+            cell = _cell_computer(block[tr], block[tj], block[tc], q)
+            cells = job.computers[tg * width + cell]
+        gl, rl, jl, cl = tg.tolist(), tr.tolist(), tj.tolist(), tc.tolist()
+        prods = local_products(
+            net,
+            sr,
+            cells.tolist(),
+            [("jSA", job.jid, base_t, g, r, j) for g, r, j in zip(gl, rl, jl)],
+            [("jSB", job.jid, base_t, g, j, c) for g, j, c in zip(gl, jl, cl)],
+        )
+        ids, first = group_ids(tg, tr, tc, cells)
+        pg, pr, pc, pcell = tg[first], tr[first], tc[first], cells[first]
+        quads = list(zip(pg.tolist(), pr.tolist(), pc.tolist(), pcell.tolist()))
+        job_skeys = [("jPB", job.jid, g, r, c, cell) for g, r, c, cell in quads]
+        net.write_many(pcell.tolist(), job_skeys, ordered_fold(sr, prods, ids, firsts=first))
+        homes = [job.home(base_t, g, r, c, m) for g, r, c, _ in quads]
+        tmps = [("jPBin", job.jid, g, r, c, cell) for g, r, c, cell in quads]
+        src += pcell.tolist()
+        dst += homes
+        skeys += job_skeys
+        dkeys += tmps
+        ids, first = group_ids(pg, pr, pc)
+        combines.append((homes, tmps, ids, [quads[t][:3] for t in first.tolist()]))
     net.exchange_arrays(
         np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64),
         skeys, dkeys, label=f"{label}/base-aggregate",
     )
     present_c: dict[int, dict] = {}
-    for job in jobs:
-        width, q, m, bounds = grids[job.jid]
-        pc = {}
-        for (g, r, c), tmp_keys in combos_c[job.jid].items():
-            home = job.home(base_t, g, r, c, m)
-            acc = zero
-            for key in tmp_keys:
-                acc = add(acc, net.read(home, key))
-                net.delete(home, key)
-            net.write(home, ("jSC", job.jid, base_t, g, r, c), acc, provenance=())
-            pc[(g, r, c)] = home
+    for job, (homes, tmps, ids, groups) in zip(jobs, combines):
+        combined = ordered_fold(
+            sr, net.read_many(homes, tmps, sr.dtype), ids, seed=sr.zeros(len(groups))
+        )
+        m = grids[job.jid][2]
+        pc = {(g, r, c): job.home(base_t, g, r, c, m) for g, r, c in groups}
+        net.write_many(
+            list(pc.values()),
+            [("jSC", job.jid, base_t, g, r, c) for g, r, c in groups],
+            combined,
+        )
+        net.delete_many(homes, tmps)
         present_c[job.jid] = pc
 
     # ---------------- backward levels ------------------------------------- #
@@ -344,9 +334,14 @@ def run_strassen_jobs(
         np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64),
         skeys, dkeys, label=f"{label}/deliver",
     )
-    for owner, dst_key, tmp in accs:
-        acc = add(net.mem[owner].get(dst_key, zero), net.read(owner, tmp))
-        net.write(owner, dst_key, acc, provenance=(tmp,))
-        net.delete(owner, tmp)
+    for owner, key, _ in accs:
+        if not net.holds(owner, key):  # an output nobody initialised starts at zero
+            net.write(owner, key, zero)
+    owners = [owner for owner, _, _ in accs]
+    tmps = [tmp for _, _, tmp in accs]
+    accumulate_at_owners(
+        net, sr, owners, [key for _, key, _ in accs], net.read_many(owners, tmps, sr.dtype)
+    )
+    net.delete_many(owners, tmps)
 
     return net.rounds - rounds_before

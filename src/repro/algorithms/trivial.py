@@ -23,9 +23,12 @@ import numpy as np
 
 from repro.algorithms.base import (
     MultiplyResult,
-    accumulate_at_owner,
+    accumulate_at_owners,
     finalize_result,
+    group_ids,
     init_outputs,
+    local_products,
+    ordered_fold,
 )
 from repro.model.network import LowBandwidthNetwork
 from repro.supported.instance import SupportedInstance
@@ -60,13 +63,18 @@ def gather_all(
     # Phase 2: computer 0 multiplies locally (free local computation).
     sr = inst.semiring
     tri = inst.triangles.triangles
-    for i, j, k in tri.tolist():
-        a = net.read(0, ("A", i, j))
-        b = net.read(0, ("B", j, k))
-        prod = sr.mul(a, b)
-        key = ("Xc", i, k)
-        acc = sr.add(net.mem[0].get(key, sr.scalar(sr.zero)), prod)
-        net.write(0, key, acc, provenance=(("A", i, j), ("B", j, k)))
+    ti, tj, tk = (tri[:, c].tolist() for c in range(3))
+    prods = local_products(
+        net,
+        sr,
+        [0] * len(ti),
+        [("A", i, j) for i, j in zip(ti, tj)],
+        [("B", j, k) for j, k in zip(tj, tk)],
+    )
+    ids, first = group_ids(tri[:, 0], tri[:, 2])
+    partial = ordered_fold(sr, prods, ids, seed=sr.zeros(first.size))
+    xc_keys = [("Xc", ti[t], tk[t]) for t in first.tolist()]
+    net.write_many([0] * len(xc_keys), xc_keys, partial)
 
     # Phase 3: scatter results to their owners.
     src, dst, skeys, dkeys = [], [], [], []
@@ -103,32 +111,31 @@ def naive_triangles(
         return finalize_result(net, inst, "naive_triangles")
 
     xo_arr = inst.owner_of_x(tri[:, 0], tri[:, 2])
+    xo = xo_arr.tolist()
+    ti, tj, tk = (tri[:, c].tolist() for c in range(3))
 
     # Route A values to the X owner of each triangle.  Deduplicate: the X
-    # owner needs each distinct A entry only once.  Insertion order (first
-    # occurrence in triangle order) is load-bearing — it fixes the message
-    # order and hence the greedy schedule.
-    need_a: dict[tuple[int, int, int], None] = {}
-    need_b: dict[tuple[int, int, int], None] = {}
-    for (i, j, k), xo in zip(tri.tolist(), xo_arr.tolist()):
-        need_a.setdefault((xo, i, j))
-        need_b.setdefault((xo, j, k))
+    # owner needs each distinct A entry only once.  First-occurrence order
+    # (in triangle order) is load-bearing — it fixes the message order and
+    # hence the greedy schedule.
+    _, first = group_ids(xo_arr, tri[:, 0], tri[:, 1])
+    keys = [("A", ti[t], tj[t]) for t in first.tolist()]
+    src = inst.owner_of_a(tri[first, 0], tri[first, 1])
+    net.exchange_arrays(src, xo_arr[first], keys, label="routeA")
 
-    a_req = np.array(list(need_a), dtype=np.int64).reshape(-1, 3)
-    src = inst.owner_of_a(a_req[:, 1], a_req[:, 2])
-    keys = [("A", i, j) for (_, i, j) in need_a]
-    net.exchange_arrays(src, a_req[:, 0], keys, label="routeA")
+    _, first = group_ids(xo_arr, tri[:, 1], tri[:, 2])
+    keys = [("B", tj[t], tk[t]) for t in first.tolist()]
+    src = inst.owner_of_b(tri[first, 1], tri[first, 2])
+    net.exchange_arrays(src, xo_arr[first], keys, label="routeB")
 
-    b_req = np.array(list(need_b), dtype=np.int64).reshape(-1, 3)
-    src = inst.owner_of_b(b_req[:, 1], b_req[:, 2])
-    keys = [("B", j, k) for (_, j, k) in need_b]
-    net.exchange_arrays(src, b_req[:, 0], keys, label="routeB")
-
-    # Local processing at the X owners.
-    for (i, j, k), xo in zip(tri.tolist(), xo_arr.tolist()):
-        prod = sr.mul(net.read(xo, ("A", i, j)), net.read(xo, ("B", j, k)))
-        accumulate_at_owner(
-            net, inst, xo, i, k, prod, provenance=(("A", i, j), ("B", j, k))
-        )
+    # Local processing at the X owners, in triangle order.
+    prods = local_products(
+        net,
+        sr,
+        xo,
+        [("A", i, j) for i, j in zip(ti, tj)],
+        [("B", j, k) for j, k in zip(tj, tk)],
+    )
+    accumulate_at_owners(net, sr, xo, [("X", i, k) for i, k in zip(ti, tk)], prods)
 
     return finalize_result(net, inst, "naive_triangles")

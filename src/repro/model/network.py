@@ -350,6 +350,38 @@ class LowBandwidthNetwork:
         """Drop a value from local memory (frees working-set space)."""
         self.mem[comp].pop(key, None)
 
+    def read_many(self, comps: Sequence[int], keys: Sequence[Key], dtype) -> np.ndarray:
+        """Bulk :meth:`read`: ``out[t]`` is the value ``comps[t]`` holds
+        under ``keys[t]``, as one ``dtype`` array.  A missing key raises the
+        same :class:`NetworkError` as :meth:`read`, so the gather is the
+        possession check of a local step."""
+        mem = self.mem
+        try:
+            values = [mem[c][k] for c, k in zip(comps, keys)]
+        except KeyError:
+            for c, k in zip(comps, keys):
+                if k not in mem[c]:
+                    raise NetworkError(f"computer {c} does not hold {k!r}") from None
+            raise
+        return np.fromiter(values, dtype=dtype, count=len(values))
+
+    def write_many(self, comps: Sequence[int], keys: Sequence[Key], values: np.ndarray) -> None:
+        """Bulk local :meth:`write` of ``values[t]`` to ``keys[t]`` at
+        ``comps[t]``, in order.  The caller derived the values from a
+        :meth:`read_many` gather, which already checked possession."""
+        mem = self.mem
+        for c, k, v in zip(comps, keys, values):
+            mem[c][k] = v
+        if self._peak_mem is not None:
+            for c in set(comps):
+                self._sample_memory(c)
+
+    def delete_many(self, comps: Sequence[int], keys: Sequence[Key]) -> None:
+        """Bulk :meth:`delete`."""
+        mem = self.mem
+        for c, k in zip(comps, keys):
+            mem[c].pop(k, None)
+
     # ------------------------------------------------------------------ #
     # Communication phases
     # ------------------------------------------------------------------ #

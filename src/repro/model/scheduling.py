@@ -139,29 +139,28 @@ def _first_fit_reference(
 ) -> np.ndarray:
     """Sequential first-fit over the given (already ordered) messages.
 
-    Occupancy sets are arbitrary-width Python integers: bit ``t`` of
-    ``send_occ[s]`` is set iff sender ``s`` is busy in round ``t``.  The
-    first round free for both endpoints is the lowest zero bit of the
-    union, ``(~u) & (u + 1)`` — identical semantics to the historical
-    set-based loop, several times faster.  ``send_occ``/``recv_occ`` allow
-    the vectorized path to hand over mid-phase state.
+    Occupancy sets are arbitrary-width Python integers: bit ``t`` of a
+    sender's set is set iff it is busy in round ``t``.  The first round
+    free for both endpoints is the lowest zero bit of the union,
+    ``(~u) & (u + 1)`` — identical semantics to the historical set-based
+    loop.  Endpoints are mapped to compact ids once, so the sets live in
+    lists, and the loop only records each round's bit length.
+    ``send_occ``/``recv_occ`` (endpoint -> bitmask) seed the sets, which
+    lets the vectorized path hand over mid-phase state.
     """
-    if send_occ is None:
-        send_occ = {}
-    if recv_occ is None:
-        recv_occ = {}
-    assigned = np.empty(r_src.size, dtype=np.int64)
-    out = assigned  # local alias
-    for k in range(r_src.size):
-        s = int(r_src[k])
-        d = int(r_dst[k])
-        u = send_occ.get(s, 0) | recv_occ.get(d, 0)
+    s_ids, s_inv = np.unique(r_src, return_inverse=True)
+    d_ids, d_inv = np.unique(r_dst, return_inverse=True)
+    send = [send_occ.get(s, 0) for s in s_ids.tolist()] if send_occ else [0] * s_ids.size
+    recv = [recv_occ.get(d, 0) for d in d_ids.tolist()] if recv_occ else [0] * d_ids.size
+    lengths = []
+    record = lengths.append
+    for s, d in zip(s_inv.tolist(), d_inv.tolist()):
+        u = send[s] | recv[d]
         low = (~u) & (u + 1)  # lowest zero bit of u, as a power of two
-        t = low.bit_length() - 1
-        out[k] = t
-        send_occ[s] = send_occ.get(s, 0) | low
-        recv_occ[d] = recv_occ.get(d, 0) | low
-    return assigned
+        send[s] |= low
+        recv[d] |= low
+        record(low.bit_length())
+    return np.fromiter(lengths, dtype=np.int64, count=len(lengths)) - 1
 
 
 # --------------------------------------------------------------------- #

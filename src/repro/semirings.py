@@ -128,12 +128,23 @@ class Semiring:
             return out
         if self.add is np.add:
             return _kernels_mod().segment_sum_f8(values, segment_ids, out)
+        self.accumulate_at(out, segment_ids, values)
+        return out
+
+    def accumulate_at(self, out: np.ndarray, segment_ids, values) -> None:
+        """In-place ordered scatter: ``out[s] = add(out[s], v)`` for each
+        ``(s, v)`` of ``zip(segment_ids, values)``, in element order.
+
+        Exact for any starting ``out`` (unlike a ``bincount`` sum, which is
+        order-exact only from a zero accumulator): ``ufunc.at`` applies the
+        operation element by element, so every float addition happens in
+        the same order, on the same operands, as the sequential loop.
+        """
         if isinstance(self.add, np.ufunc):
             self.add.at(out, segment_ids, values)
-            return out
-        for seg, val in zip(segment_ids, values):
+            return
+        for seg, val in zip(np.asarray(segment_ids).tolist(), values):
             out[seg] = self.add(out[seg], val)
-        return out
 
     def segment_sum_batch(
         self, values: np.ndarray, segment_ids: np.ndarray, num_segments: int
@@ -160,10 +171,7 @@ class Semiring:
             self.add.at(out, (np.arange(B)[:, None], segment_ids[None, :]), values)
             return out
         for b in range(B):
-            row = out[b]
-            vals = values[b]
-            for k, seg in enumerate(segment_ids):
-                row[seg] = self.add(row[seg], vals[k])
+            self.accumulate_at(out[b], segment_ids, values[b])
         return out
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -216,14 +224,6 @@ class Semiring:
         return f"Semiring({self.name})"
 
 
-def _gf2_add(a, b):
-    return np.bitwise_xor(a, b)
-
-
-def _gf2_mul(a, b):
-    return np.bitwise_and(a, b)
-
-
 REAL_FIELD = Semiring(
     name="real-field",
     dtype=np.float64,
@@ -264,9 +264,9 @@ GF2 = Semiring(
     dtype=np.uint8,
     zero=np.uint8(0),
     one=np.uint8(1),
-    add=_gf2_add,
-    mul=_gf2_mul,
-    sub=_gf2_add,
+    add=np.bitwise_xor,
+    mul=np.bitwise_and,
+    sub=np.bitwise_xor,
     is_field=True,
 )
 

@@ -78,19 +78,16 @@ def _lookup_sorted(arrays, rows, cols, n_cols: int, sr: Semiring) -> np.ndarray:
 def _owner_map_rows(pattern: sp.csr_matrix, axis: int) -> dict[tuple[int, int], int]:
     """Row-owner (axis=0) or column-owner (axis=1) assignment."""
     coo = as_csr(pattern).tocoo()
-    if axis == 0:
-        return {(int(i), int(j)): int(i) for i, j in zip(coo.row, coo.col)}
-    return {(int(i), int(j)): int(j) for i, j in zip(coo.row, coo.col)}
+    rows, cols = coo.row.tolist(), coo.col.tolist()
+    return dict(zip(zip(rows, cols), rows if axis == 0 else cols))
 
 
 def _owner_map_balanced(pattern: sp.csr_matrix, n: int) -> dict[tuple[int, int], int]:
     coo = as_csr(pattern).tocoo()
     order = np.lexsort((coo.col, coo.row))
     per = -(-coo.nnz // n) if coo.nnz else 1  # ceil
-    owners = {}
-    for slot, idx in enumerate(order):
-        owners[(int(coo.row[idx]), int(coo.col[idx]))] = slot // per
-    return owners
+    slots = (np.arange(coo.nnz, dtype=np.int64) // per).tolist()
+    return dict(zip(zip(coo.row[order].tolist(), coo.col[order].tolist()), slots))
 
 
 @dataclass
@@ -183,6 +180,8 @@ class SupportedInstance:
     def _owner_of(self, arrays, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         sorted_keys, owners = arrays
         q = np.asarray(rows, dtype=np.int64) * self.n + np.asarray(cols, dtype=np.int64)
+        if q.size == 0:
+            return np.zeros(0, dtype=np.int64)
         pos = np.searchsorted(sorted_keys, q)
         pos_c = np.minimum(pos, max(sorted_keys.size - 1, 0))
         if sorted_keys.size == 0 or not (sorted_keys[pos_c] == q).all():
@@ -260,7 +259,8 @@ class SupportedInstance:
         """Place input values at their owner computers."""
         if net.n != self.n:
             raise ValueError("network size must equal matrix dimension")
-        zero = self.semiring.scalar(self.semiring.zero)
+        sr = self.semiring
+        zero = sr.scalar(sr.zero)
         # Iterate the support (ownership) rather than the stored values:
         # the support only upper-bounds the nonzeros, so hat positions with
         # no (or an explicit zero) value are dealt as the semiring zero.
@@ -268,32 +268,47 @@ class SupportedInstance:
             ("A", self.a, self.owner_a),
             ("B", self.b, self.owner_b),
         ):
+            count = len(owners)
+            rows = np.fromiter((i for (i, _) in owners), dtype=np.int64, count=count)
+            cols = np.fromiter((j for (_, j) in owners), dtype=np.int64, count=count)
+            support = rows * self.n + cols
             coo = mat.tocoo()
-            values = {
-                (int(i), int(j)): v
-                for i, j, v in zip(coo.row, coo.col, coo.data)
-            }
-            extra = {
-                p
-                for p in set(values) - set(owners)
-                if not self.semiring.close(values[p], zero)
-            }
-            if extra:
-                raise ValueError(
-                    f"matrix {prefix} stores nonzero values outside its indicator support: {sorted(extra)[:3]}"
-                )
-            for (i, j), comp in owners.items():
-                net.deal(comp, (prefix, i, j), values.get((i, j), zero))
+            keys = coo.row.astype(np.int64) * self.n + coo.col.astype(np.int64)
+            outside = ~np.isin(keys, support)
+            if outside.any():
+                stray = {
+                    (int(i), int(j)): v
+                    for i, j, v in zip(coo.row[outside], coo.col[outside], coo.data[outside])
+                }
+                extra = {p for p, v in stray.items() if not sr.close(v, zero)}
+                if extra:
+                    raise ValueError(
+                        f"matrix {prefix} stores nonzero values outside its indicator support: {sorted(extra)[:3]}"
+                    )
+            # the value stored last under a key wins, as in a dict
+            order = np.argsort(keys, kind="stable")
+            sorted_keys = keys[order]
+            pos = np.searchsorted(sorted_keys, support, side="right") - 1
+            hit = pos >= 0
+            hit[hit] = sorted_keys[pos[hit]] == support[hit]
+            values = sr.zeros(count)
+            values[hit] = np.asarray(coo.data, dtype=sr.dtype)[order[pos[hit]]]
+            net.write_many(
+                list(owners.values()),
+                [(prefix, i, j) for i, j in zip(rows.tolist(), cols.tolist())],
+                values,
+            )
 
     def collect_result(self, net: LowBandwidthNetwork) -> sp.csr_matrix:
         """Read the computed ``X`` values from their owner computers."""
         coo = self.x_hat.tocoo()
-        data = np.empty(coo.nnz, dtype=self.semiring.dtype)
-        for idx, (i, k) in enumerate(zip(coo.row, coo.col)):
-            comp = self.owner_x[(int(i), int(k))]
-            data[idx] = net.read(comp, ("X", int(i), int(k)))
-        mat = sp.csr_matrix((data, (coo.row, coo.col)), shape=self.x_hat.shape)
-        return mat
+        rows, cols = coo.row.astype(np.int64), coo.col.astype(np.int64)
+        data = net.read_many(
+            self.owner_of_x(rows, cols).tolist(),
+            [("X", i, k) for i, k in zip(rows.tolist(), cols.tolist())],
+            self.semiring.dtype,
+        )
+        return sp.csr_matrix((data, (coo.row, coo.col)), shape=self.x_hat.shape)
 
     # ------------------------------------------------------------------ #
     # Ground truth
