@@ -23,11 +23,14 @@ bench-smoke:
 	REPRO_BENCH_SMOKE=1 REPRO_BENCH_WORKERS=2 REPRO_SWEEP_CACHE_DIR=$(SWEEP_CACHE_DIR) \
 		pytest benchmarks/bench_simulator_throughput.py benchmarks/bench_sweep_executor.py --benchmark-only
 
-# Fault-injection smoke: resilience curves (2 algorithms x 3 drop rates),
-# single-drop recovery, the self-healing sweep (drop rate 0.01, 2 workers,
-# one injected worker crash, one poisoned cell -> quarantined), and the
+# Fault-injection smoke: first the delivery-core golden (every phase kind
+# x mode x fault plan x resilience policy, tests/test_delivery_core.py),
+# then resilience curves (2 algorithms x 3 drop rates), single-drop
+# recovery, the self-healing sweep (drop rate 0.01, 2 workers, one
+# injected worker crash, one poisoned cell -> quarantined), and the
 # schedule-store crash drill.  Emits benchmarks/results/BENCH_resilience.json.
 fault-smoke:
+	pytest tests/test_delivery_core.py -q
 	REPRO_BENCH_SMOKE=1 REPRO_BENCH_WORKERS=2 \
 		pytest benchmarks/bench_resilience.py --benchmark-only -k "not certification"
 
@@ -78,8 +81,10 @@ plan-smoke:
 	REPRO_BENCH_SMOKE=1 REPRO_SERVE_WORKERS=2 \
 		pytest benchmarks/bench_serving.py --benchmark-only
 
-# Real-wire transport smoke: the transport test suite (framing, config
-# resolution, bit-identity of custom wires, TCP kill/pause drills), then
+# Real-wire transport smoke: the delivery-core golden (its wire cells run
+# the same phases over an in-process echo transport), the transport test
+# suite (framing, config resolution, bit-identity of custom wires, TCP
+# kill/pause drills), then
 # the transport bench — Table 1 workloads over a multi-process loopback
 # TCP mesh must be bit-identical (values digest, rounds, messages,
 # per-phase bills) to the in-process reference, a SIGKILLed host
@@ -87,6 +92,7 @@ plan-smoke:
 # and a SIGSTOPped host must be caught by heartbeat staleness.  Emits
 # benchmarks/results/BENCH_transport.json (CI uploads it as an artifact).
 transport-smoke:
+	pytest tests/test_delivery_core.py -q
 	pytest tests/test_transport.py -q
 	REPRO_BENCH_SMOKE=1 \
 		pytest benchmarks/bench_transport.py --benchmark-only

@@ -82,6 +82,8 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.model.scheduling import schedule_makespan
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.model.network import LowBandwidthNetwork, Message
     from repro.supported.instance import SupportedInstance
@@ -489,17 +491,9 @@ class ResilientExchange:
     # -- public API mirroring LowBandwidthNetwork ----------------------- #
     def exchange(self, messages: Sequence["Message"], *, label: str = "exchange") -> int:
         """Deliver ``messages`` reliably; returns total rounds consumed."""
-        if not messages:
-            return 0
-        src = np.fromiter((m.src for m in messages), dtype=np.int64, count=len(messages))
-        dst = np.fromiter((m.dst for m in messages), dtype=np.int64, count=len(messages))
-        return self.exchange_arrays(
-            src,
-            dst,
-            [m.src_key for m in messages],
-            [m.dst_key for m in messages],
-            label=label,
-        )
+        from repro.model.network import _message_columns
+
+        return self.exchange_arrays(*_message_columns(messages), label=label)
 
     def exchange_arrays(
         self,
@@ -540,13 +534,13 @@ class ResilientExchange:
         dst_keys: list,
         *,
         label: str,
-        attempt: int = 0,
+        lockstep: bool = False,
     ) -> int:
         """Deliver-ack-backoff-retry until confirmed or budget exhausted.
 
-        ``attempt > 0`` resumes the protocol after an external first
-        delivery (the lockstep collectives' path): the next send is
-        already a retry and pays its backoff first.
+        A ``lockstep`` batch (a collective level) makes its first attempt
+        in one round; its retries are ordinary scheduled phases under the
+        same ``max_retries`` budget.
         """
         from repro.model.network import NetworkError
 
@@ -555,6 +549,7 @@ class ResilientExchange:
         inj = net._injector
         pending = np.arange(src.size, dtype=np.int64)
         total = 0
+        attempt = 0
         while True:
             if attempt > 0:
                 backoff = backoff_schedule(
@@ -566,22 +561,21 @@ class ResilientExchange:
                     inj.counts["backoff_rounds"] += charged
                     inj.counts["retry_phases"] += 1
                     inj.counts["resent_messages"] += int(pending.size)
-            used, lost_local = net._faulty_attempt(
+            used, lost_local = net._attempt(
                 src[pending],
                 dst[pending],
                 [src_keys[i] for i in pending],
                 [dst_keys[i] for i in pending],
                 label=label,
                 attempt=attempt,
+                lockstep=lockstep and attempt == 0,
             )
             total += used
             lost = pending[lost_local]
             delivered = np.delete(pending, lost_local)
             # the receivers acknowledge through a scheduled reverse phase;
             # a lost ack forces an idempotent duplicate send
-            ack_used, ack_lost_local = net._ack_attempt(
-                src[delivered], dst[delivered], label=label
-            )
+            ack_used, ack_lost_local = self._ack(src[delivered], dst[delivered], label=label)
             total += ack_used
             pending = np.sort(np.concatenate([lost, delivered[ack_lost_local]]))
             if pending.size == 0:
@@ -597,6 +591,28 @@ class ResilientExchange:
                     )
                 return total
             attempt += 1
+
+    def _ack(self, src: np.ndarray, dst: np.ndarray, *, label: str) -> tuple[int, np.ndarray]:
+        """Charge the reverse acknowledgement phase for delivered messages.
+
+        Each receiver sends one ack word back to its sender (scheduled
+        and charged like any phase, billed as ``<label>/ack``); the fault
+        plan may drop acks or lose them to crashes.  Acks move no payload
+        state — presence is the signal.  Returns ``(rounds_charged,
+        indices_whose_ack_was_lost)``."""
+        if src.size == 0:
+            return 0, np.empty(0, dtype=np.int64)
+        net = self.net
+        t0 = time.perf_counter_ns()
+        rounds_arr, cache_hit = net._schedule(dst, src)  # reverse direction
+        total = schedule_makespan(rounds_arr)
+        inj = net._injector
+        if inj is not None and inj.active:
+            lost = inj.decide_phase(dst, src, rounds_arr, base_round=net.rounds, acks=True).lost_idx
+        else:
+            lost = np.empty(0, dtype=np.int64)
+        net._bill(f"{label}/ack", total, src.size, t0, cache_hit=cache_hit)
+        return total, lost
 
 
 # ---------------------------------------------------------------------- #

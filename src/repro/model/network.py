@@ -12,12 +12,13 @@ algorithm is a sequence of
 Two execution modes:
 
 ``strict=True``
-    Every phase is re-executed round by round.  The engine asserts the
-    model's constraints: at most one message sent and one received per
-    computer per round; a sender possesses the value it sends (provenance —
-    values can only originate from the input distribution or from local
-    writes justified by values already held); payloads are single machine
-    words.  Used by the test-suite on small instances.
+    Every phase is delivered word by word in round order.  The engine
+    asserts the model's constraints: at most one message sent and one
+    received per computer per round; a sender possesses the value it
+    sends (provenance — values can only originate from the input
+    distribution or from local writes justified by values already held);
+    payloads are single machine words.  Used by the test-suite on small
+    instances.
 
 ``strict=False``
     Identical schedules and round counts, bulk value movement.  Used for
@@ -38,6 +39,14 @@ Two execution modes:
       realizes the data movement as a single array gather.  Strict mode
       refuses this path; it always executes the checked per-message
       deliveries.
+
+Every communication phase — scheduled, lockstep (one round, no
+scheduler) or columnar — runs through one delivery core: one entry
+(``_dispatch``: dispatch count, batch checks, the ack/resend protocol
+under ``resilience``), one attempt (``_attempt``: endpoint check, rounds,
+fault verdict, word mover, bill), two word movers (in-process, in stable
+round order, or over a wire transport one barriered round at a time),
+and one bill (``_bill``), which idle backoff rounds and ack phases share.
 
 The *supported setting* (paper §2.1) allows arbitrary preprocessing that
 depends only on the sparsity structure: all schedules, anchor arrays, and
@@ -124,6 +133,20 @@ class PhaseRecord:
     columnar: bool = False  # values moved as arrays, not per-message dict writes
 
 
+def _message_columns(
+    messages: Sequence[Message],
+) -> tuple[np.ndarray, np.ndarray, list[Key], list[Key]]:
+    """``(src, dst, src_keys, dst_keys)`` of a ``Message`` batch, the
+    array form every delivery entry takes."""
+    m = len(messages)
+    return (
+        np.fromiter((msg.src for msg in messages), dtype=np.int64, count=m),
+        np.fromiter((msg.dst for msg in messages), dtype=np.int64, count=m),
+        [msg.src_key for msg in messages],
+        [msg.dst_key for msg in messages],
+    )
+
+
 _SCALAR_TYPES = (int, float, bool, np.generic)
 
 
@@ -181,7 +204,7 @@ class LowBandwidthNetwork:
         recorded in :meth:`phase_summary`.
     transport:
         The delivery plane (:mod:`repro.transport`).  ``None`` or
-        ``"local"`` keep the historical in-process delivery (the
+        ``"local"`` keep the in-process word mover (the
         :class:`~repro.transport.base.LocalTransport` semantics,
         inlined).  ``"tcp"`` (or a started
         :class:`~repro.transport.base.Transport` instance) routes every
@@ -275,13 +298,14 @@ class LowBandwidthNetwork:
                 self._transport = resolved
             self.transport_name = resolved.name
         fault_active = self._injector is not None and self._injector.active
-        self.columnar = (
-            bool(columnar)
-            and not self.strict
-            and not fault_active
-            and self._resilience is None
-            and self._transport is None
+        #: why this network refuses columnar phases (None: it accepts them)
+        self._columnar_refusal = (
+            "in strict mode" if self.strict
+            else "over a wire transport" if self._transport is not None
+            else "under fault injection" if fault_active or self._resilience is not None
+            else None
         )
+        self.columnar = bool(columnar) and self._columnar_refusal is None
         self.rounds = 0
         self.mem: list[dict[Key, Any]] = [dict() for _ in range(self.n)]
         self.phases: list[PhaseRecord] = []
@@ -392,17 +416,7 @@ class LowBandwidthNetwork:
         ``max_send_degree + max_recv_degree - 1`` rounds.  (Thin wrapper
         over :meth:`exchange_arrays` — there is exactly one delivery path.)
         """
-        if not messages:
-            return 0
-        src = np.fromiter((m.src for m in messages), dtype=np.int64, count=len(messages))
-        dst = np.fromiter((m.dst for m in messages), dtype=np.int64, count=len(messages))
-        return self.exchange_arrays(
-            src,
-            dst,
-            [m.src_key for m in messages],
-            [m.dst_key for m in messages],
-            label=label,
-        )
+        return self.exchange_arrays(*_message_columns(messages), label=label)
 
     def exchange_arrays(
         self,
@@ -421,14 +435,13 @@ class LowBandwidthNetwork:
         the caller performs the equivalent data movement as an array gather
         (see :meth:`exchange_columnar`).  Only legal in non-strict mode.
         """
-        if dst_keys is None:
-            dst_keys = src_keys
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
         if src_keys is not None:
             src_keys = list(src_keys)
-            dst_keys = list(dst_keys)
-        return self._exchange_raw(src, dst, src_keys, dst_keys, label=label)
+            dst_keys = src_keys if dst_keys is None else list(dst_keys)
+        return self._dispatch(
+            np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64),
+            src_keys, dst_keys, label=label, lockstep=False,
+        )
 
     def exchange_columnar(
         self, src: np.ndarray, dst: np.ndarray, *, label: str = "exchange"
@@ -442,402 +455,14 @@ class LowBandwidthNetwork:
         """
         return self.exchange_arrays(src, dst, None, label=label)
 
-    def _schedule(self, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, bool]:
-        cache = self._schedule_cache
-        if cache is not None:
-            rounds_arr, hit = cache.get_or_compute(src, dst, method=self.schedule_method)
-            if hit:
-                self.cache_hits += 1
-            else:
-                self.cache_misses += 1
-            return rounds_arr, hit
-        return greedy_two_sided_schedule(src, dst, method=self.schedule_method), False
-
-    def _exchange_raw(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        src_keys: list | None,
-        dst_keys: list | None,
-        *,
-        label: str,
-    ) -> int:
-        global _DISPATCH_COUNT
-        if src.size == 0:
-            return 0
-        _DISPATCH_COUNT += 1
-        if src_keys is not None and not (
-            src.size == dst.size == len(src_keys) == len(dst_keys)
-        ):
-            raise ValueError("message component lengths differ")
-        if src.size != dst.size:
-            raise ValueError("message component lengths differ")
-        if (self._injector is not None and self._injector.active) or (
-            self._resilience is not None
-        ):
-            return self._exchange_disturbed(src, dst, src_keys, dst_keys, label=label)
-        t0 = time.perf_counter_ns()
-        self._check_ids(src, dst, label=label)
-        rounds_arr, cache_hit = self._schedule(src, dst)
-        total = schedule_makespan(rounds_arr)
-
-        if self.strict:
-            if src_keys is None:
-                raise NetworkError(
-                    f"[{label} @ round {self.rounds}] columnar delivery is "
-                    "unavailable in strict mode"
-                )
-            validate_schedule(src, dst, rounds_arr)
-            order = np.argsort(rounds_arr, kind="stable")
-            for i in order:
-                i = int(i)
-                self._deliver_checked(
-                    Message(int(src[i]), int(dst[i]), src_keys[i], dst_keys[i]),
-                    label=label,
-                    round_index=self.rounds + int(rounds_arr[i]),
-                )
-        elif self._transport is not None:
-            if src_keys is None:
-                raise NetworkError(
-                    f"[{label} @ round {self.rounds}] columnar delivery is "
-                    "unavailable over a wire transport"
-                )
-            return self._deliver_wire(
-                src, dst, src_keys, dst_keys, rounds_arr,
-                label=label, cache_hit=cache_hit, t0=t0,
-            )
-        elif src_keys is not None:
-            mem = self.mem
-            sample = self._sample_memory if self.track_memory else None
-            for idx, (s, d, sk, dk) in enumerate(
-                zip(src.tolist(), dst.tolist(), src_keys, dst_keys)
-            ):
-                mem_src = mem[s]
-                if sk not in mem_src:
-                    raise NetworkError(
-                        f"[{label} @ round {self.rounds + int(rounds_arr[idx])}] "
-                        f"computer {s} cannot send {sk!r}: not held"
-                    )
-                mem[d][dk] = mem_src[sk]
-                if sample is not None:
-                    sample(d)
-        # src_keys is None: columnar — the caller moves the values as arrays
-
-        self.rounds += total
-        self.messages_sent += src.size
-        self.phases.append(
-            PhaseRecord(
-                label,
-                total,
-                int(src.size),
-                wall_ns=time.perf_counter_ns() - t0,
-                cache_hit=cache_hit,
-                columnar=src_keys is None,
-            )
-        )
-        return total
-
-    # ------------------------------------------------------------------ #
-    # Wire delivery (see repro.transport)
-    # ------------------------------------------------------------------ #
-    def _deliver_wire(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        src_keys: list,
-        dst_keys: list,
-        rounds_arr: np.ndarray,
-        *,
-        label: str,
-        cache_hit: bool,
-        t0: int,
-    ) -> int:
-        """Execute an already-scheduled phase over the wire transport:
-        for each model round, gather that round's payload words from the
-        source memories, ship them through
-        :meth:`~repro.transport.base.Transport.deliver_step` (one
-        barriered wire round), and commit the delivered words into the
-        destination memories.  Billing is fixed by the schedule before
-        any byte moves, so rounds/messages are identical to local
-        delivery; only wall-clock sees the wire.
-
-        Graceful degradation: if the transport declares a peer dead
-        (:class:`~repro.transport.base.PeerDied`, i.e. respawn budget
-        exhausted), the completed prefix of the phase is salvaged into
-        the bill under ``<label>/aborted`` and the failure surfaces as a
-        :class:`NetworkError` carrying the phase label and model round —
-        a clean typed abort, never a hang and never a silent result.
-        """
-        from repro.transport.base import PeerDied
-        from repro.transport.framing import decode_value, encode_value
-
-        mem = self.mem
-        sample = self._sample_memory if self.track_memory else None
-        total = schedule_makespan(rounds_arr)
-        src_l = src.tolist()
-        dst_l = dst.tolist()
-        rounds_l = rounds_arr.tolist()
-        order = [int(i) for i in np.argsort(rounds_arr, kind="stable")]
-        m = int(src.size)
-        delivered_msgs = 0
-        completed = 0
-        pos = 0
-        # self-messages are scheduled at round -1 (a computer talking to
-        # itself costs nothing on the wire): commit them locally first,
-        # exactly like the inline path and the PR 5 fault exemption
-        while pos < m and rounds_l[order[pos]] < 0:
-            i = order[pos]
-            pos += 1
-            s, sk = src_l[i], src_keys[i]
-            if sk not in mem[s]:
-                raise NetworkError(
-                    f"[{label} @ round {self.rounds}] "
-                    f"computer {s} cannot send {sk!r}: not held"
-                )
-            mem[dst_l[i]][dst_keys[i]] = mem[s][sk]
-            if sample is not None:
-                sample(dst_l[i])
-            delivered_msgs += 1
-        try:
-            for r in range(total):
-                entries = []
-                while pos < m and rounds_l[order[pos]] == r:
-                    i = order[pos]
-                    pos += 1
-                    s, sk = src_l[i], src_keys[i]
-                    mem_src = mem[s]
-                    if sk not in mem_src:
-                        raise NetworkError(
-                            f"[{label} @ round {self.rounds + r}] "
-                            f"computer {s} cannot send {sk!r}: not held"
-                        )
-                    entries.append((i, s, dst_l[i], encode_value(mem_src[sk])))
-                payloads = self._transport.deliver_step(
-                    entries, label=label, round_no=self.rounds + r
-                )
-                for i, blob in payloads.items():
-                    mem[dst_l[i]][dst_keys[i]] = decode_value(blob)
-                    if sample is not None:
-                        sample(dst_l[i])
-                delivered_msgs += len(entries)
-                completed = r + 1
-        except PeerDied as exc:
-            # salvage the completed prefix of the phase into the bill,
-            # then abort with phase/round context
-            aborted_at = self.rounds + completed
-            self.rounds += completed
-            self.messages_sent += delivered_msgs
-            self.phases.append(
-                PhaseRecord(
-                    f"{label}/aborted",
-                    completed,
-                    delivered_msgs,
-                    wall_ns=time.perf_counter_ns() - t0,
-                    cache_hit=cache_hit,
-                    columnar=False,
-                )
-            )
-            raise NetworkError(
-                f"[{label} @ round {aborted_at}] transport peer failure after "
-                f"{completed}/{total} rounds: {exc}"
-            ) from exc
-        self.rounds += total
-        self.messages_sent += m
-        self.phases.append(
-            PhaseRecord(
-                label,
-                total,
-                m,
-                wall_ns=time.perf_counter_ns() - t0,
-                cache_hit=cache_hit,
-                columnar=False,
-            )
-        )
-        return total
-
-    def transport_stats(self) -> dict[str, Any]:
-        """Honest counters from the delivery plane (steps, words, wire
-        retries/reconnects/respawns for a socket mesh)."""
-        if self._transport is None:
-            return {"transport": self.transport_name}
-        return self._transport.stats()
-
-    def close(self) -> None:
-        """Shut down an owned wire transport (idempotent; local-delivery
-        networks have nothing to release)."""
-        if self._transport is not None:
-            self._transport.close()
-
-    def __enter__(self) -> "LowBandwidthNetwork":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ #
-    # Fault-injected / resilient delivery (see repro.model.faults)
-    # ------------------------------------------------------------------ #
     def charge_idle_rounds(self, k: int, *, label: str = "idle") -> int:
         """Advance the round counter by ``k`` rounds in which every
         computer stays silent (backoff waits are real, billable time)."""
         k = int(k)
         if k <= 0:
             return 0
-        self.rounds += k
-        self.phases.append(PhaseRecord(label, k, 0))
+        self._bill(label, k, 0)
         return k
-
-    def _exchange_disturbed(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        src_keys: list | None,
-        dst_keys: list | None,
-        *,
-        label: str,
-    ) -> int:
-        """Exchange under an active fault plan and/or resilient delivery."""
-        if src_keys is None:
-            raise NetworkError(
-                f"[{label} @ round {self.rounds}] columnar delivery is "
-                "unavailable under fault injection"
-            )
-        if self._resilience is not None:
-            from repro.model.faults import ResilientExchange
-
-            return ResilientExchange(self, self._resilience)._run(
-                src, dst, src_keys, dst_keys, label=label
-            )
-        used, _lost = self._faulty_attempt(
-            src, dst, src_keys, dst_keys, label=label, attempt=0
-        )
-        return used
-
-    def _faulty_attempt(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        src_keys: list,
-        dst_keys: list,
-        *,
-        label: str,
-        attempt: int,
-    ) -> tuple[int, np.ndarray]:
-        """One delivery attempt of a scheduled phase with faults applied.
-
-        Returns ``(rounds_charged, lost_indices)``.  Scheduling, round
-        and message accounting are identical to the fault-free path; the
-        injector then withholds lost payloads, perturbs undetected
-        corruptions, and extends the phase for delays/duplicates."""
-        if src.size == 0:
-            return 0, np.empty(0, dtype=np.int64)
-        t0 = time.perf_counter_ns()
-        self._check_ids(src, dst, label=label)
-        rounds_arr, cache_hit = self._schedule(src, dst)
-        total = schedule_makespan(rounds_arr)
-        inj = self._injector
-        dec = (
-            inj.decide_phase(src, dst, rounds_arr, base_round=self.rounds, label=label)
-            if inj is not None and inj.active
-            else None
-        )
-        phase_label = label if attempt == 0 else f"{label}/retry{attempt}"
-
-        if self.strict:
-            validate_schedule(src, dst, rounds_arr)
-            order = np.argsort(rounds_arr, kind="stable")
-            for i in order:
-                i = int(i)
-                if dec is not None and not dec.deliver[i]:
-                    continue
-                corrupt_h = (
-                    int(dec.corrupt_h[i])
-                    if dec is not None and dec.corrupt[i]
-                    else None
-                )
-                self._deliver_checked(
-                    Message(int(src[i]), int(dst[i]), src_keys[i], dst_keys[i]),
-                    label=label,
-                    round_index=self.rounds + int(rounds_arr[i]),
-                    corrupt_h=corrupt_h,
-                )
-        else:
-            from repro.model.faults import corrupt_word
-
-            mem = self.mem
-            sample = self._sample_memory if self.track_memory else None
-            for idx, (s, d, sk, dk) in enumerate(
-                zip(src.tolist(), dst.tolist(), src_keys, dst_keys)
-            ):
-                if dec is not None and not dec.deliver[idx]:
-                    continue
-                mem_src = mem[s]
-                if sk not in mem_src:
-                    raise NetworkError(
-                        f"[{label} @ round {self.rounds + int(rounds_arr[idx])}] "
-                        f"computer {s} cannot send {sk!r}: not held"
-                    )
-                value = mem_src[sk]
-                if dec is not None and dec.corrupt[idx]:
-                    value = corrupt_word(value, int(dec.corrupt_h[idx]))
-                mem[d][dk] = value
-                if sample is not None:
-                    sample(d)
-
-        extra = dec.extra_rounds if dec is not None else 0
-        dups = dec.duplicates if dec is not None else 0
-        total += extra
-        self.rounds += total
-        self.messages_sent += int(src.size) + dups
-        self.phases.append(
-            PhaseRecord(
-                phase_label,
-                total,
-                int(src.size) + dups,
-                wall_ns=time.perf_counter_ns() - t0,
-                cache_hit=cache_hit,
-                columnar=False,
-            )
-        )
-        lost = dec.lost_idx if dec is not None else np.empty(0, dtype=np.int64)
-        return total, lost
-
-    def _ack_attempt(
-        self, src: np.ndarray, dst: np.ndarray, *, label: str
-    ) -> tuple[int, np.ndarray]:
-        """Charge the reverse acknowledgement phase for delivered messages.
-
-        Each receiver sends one ack word back to its sender (scheduled
-        and charged like any phase); the fault plan may drop acks or lose
-        them to crashes.  Acks move no payload state — presence is the
-        signal — so they are accounting-only on the memory side.  Returns
-        ``(rounds_charged, indices_whose_ack_was_lost)``."""
-        if src.size == 0:
-            return 0, np.empty(0, dtype=np.int64)
-        t0 = time.perf_counter_ns()
-        rounds_arr, cache_hit = self._schedule(dst, src)  # reverse direction
-        total = schedule_makespan(rounds_arr)
-        inj = self._injector
-        if inj is not None and inj.active:
-            dec = inj.decide_phase(
-                dst, src, rounds_arr, base_round=self.rounds, acks=True
-            )
-            lost = dec.lost_idx
-        else:
-            lost = np.empty(0, dtype=np.int64)
-        self.rounds += total
-        self.messages_sent += int(src.size)
-        self.phases.append(
-            PhaseRecord(
-                f"{label}/ack",
-                total,
-                int(src.size),
-                wall_ns=time.perf_counter_ns() - t0,
-                cache_hit=cache_hit,
-                columnar=False,
-            )
-        )
-        return total, lost
 
     def segmented_broadcast(
         self,
@@ -933,21 +558,32 @@ class LowBandwidthNetwork:
                             )
         return total
 
+    def transport_stats(self) -> dict[str, Any]:
+        """Honest counters from the delivery plane (steps, words, wire
+        retries/reconnects/respawns for a socket mesh)."""
+        if self._transport is None:
+            return {"transport": self.transport_name}
+        return self._transport.stats()
+
+    def close(self) -> None:
+        """Shut down an owned wire transport (idempotent; local-delivery
+        networks have nothing to release)."""
+        if self._transport is not None:
+            self._transport.close()
+
+    def __enter__(self) -> "LowBandwidthNetwork":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     # ------------------------------------------------------------------ #
-    # Internals
+    # The delivery core: entry -> attempt -> word mover -> bill
     # ------------------------------------------------------------------ #
     def _execute_lockstep(self, messages: Sequence[Message], *, label: str) -> int:
-        """Execute a batch that must fit in exactly one round (wrapper for
-        ``Message``-object callers; the array form does the work)."""
-        src = np.fromiter((m.src for m in messages), dtype=np.int64, count=len(messages))
-        dst = np.fromiter((m.dst for m in messages), dtype=np.int64, count=len(messages))
-        return self._execute_lockstep_arrays(
-            src,
-            dst,
-            [m.src_key for m in messages],
-            [m.dst_key for m in messages],
-            label=label,
-        )
+        """Execute a batch that must fit in exactly one round (``Message``
+        form of :meth:`_execute_lockstep_arrays`)."""
+        return self._execute_lockstep_arrays(*_message_columns(messages), label=label)
 
     def _execute_lockstep_arrays(
         self,
@@ -961,72 +597,9 @@ class LowBandwidthNetwork:
         """Execute a single-round batch given as arrays.  ``src_keys=None``
         is the columnar rounds-only form (non-strict callers moving values
         in planes)."""
-        global _DISPATCH_COUNT
-        _DISPATCH_COUNT += 1
-        t0 = time.perf_counter_ns()
-        self._check_ids(src, dst, label=label)
-        if self.strict:
-            if src_keys is None:
-                raise NetworkError(
-                    f"[{label} @ round {self.rounds}] columnar delivery is "
-                    "unavailable in strict mode"
-                )
-            if np.unique(src).size != src.size:
-                raise NetworkError(
-                    f"[{label} @ round {self.rounds}] computer sends twice in one round"
-                )
-            if np.unique(dst).size != dst.size:
-                raise NetworkError(
-                    f"[{label} @ round {self.rounds}] computer receives twice in one round"
-                )
-        if (self._injector is not None and self._injector.active) or (
-            self._resilience is not None
-        ):
-            return self._lockstep_disturbed(src, dst, src_keys, dst_keys, label=label)
-        if self._transport is not None and src.size:
-            if src_keys is None:
-                raise NetworkError(
-                    f"[{label} @ round {self.rounds}] columnar delivery is "
-                    "unavailable over a wire transport"
-                )
-            return self._deliver_wire(
-                src, dst, src_keys, dst_keys,
-                np.zeros(src.size, dtype=np.int64),
-                label=label, cache_hit=False, t0=t0,
-            )
-        if self.strict:
-            for s, d, sk, dk in zip(src.tolist(), dst.tolist(), src_keys, dst_keys):
-                self._deliver_checked(
-                    Message(s, d, sk, dk), label=label, round_index=self.rounds
-                )
-        elif src_keys is not None:
-            mem = self.mem
-            sample = self._sample_memory if self.track_memory else None
-            for s, d, sk, dk in zip(src.tolist(), dst.tolist(), src_keys, dst_keys):
-                mem_src = mem[s]
-                if sk not in mem_src:
-                    raise NetworkError(
-                        f"[{label} @ round {self.rounds}] "
-                        f"computer {s} cannot send {sk!r}: not held"
-                    )
-                mem[d][dk] = mem_src[sk]
-                if sample is not None:
-                    sample(d)
-        self.rounds += 1
-        self.messages_sent += int(src.size)
-        self.phases.append(
-            PhaseRecord(
-                label,
-                1,
-                int(src.size),
-                wall_ns=time.perf_counter_ns() - t0,
-                cache_hit=False,
-                columnar=src_keys is None,
-            )
-        )
-        return 1
+        return self._dispatch(src, dst, src_keys, dst_keys, label=label, lockstep=True)
 
-    def _lockstep_disturbed(
+    def _dispatch(
         self,
         src: np.ndarray,
         dst: np.ndarray,
@@ -1034,122 +607,251 @@ class LowBandwidthNetwork:
         dst_keys: list | None,
         *,
         label: str,
+        lockstep: bool,
     ) -> int:
-        """Single-round batch under faults: apply the plan to the one
-        round, then (if resilient) recover the losses through the generic
-        ack/resend protocol — the retried subset becomes an ordinary
-        scheduled exchange."""
-        from repro.model.faults import ResilientExchange, corrupt_word
+        """The one entry of every communication phase.
 
-        if src_keys is None:
+        An empty batch costs nothing.  Otherwise the phase counts one
+        dispatch, and the batch is checked and delivered: through the
+        ack/resend protocol under ``resilience``, else as one
+        :meth:`_attempt`.  A ``lockstep`` batch must fit in one round."""
+        global _DISPATCH_COUNT
+        if src.size == 0:
+            return 0
+        _DISPATCH_COUNT += 1
+        if src.size != dst.size or (
+            src_keys is not None and not src.size == len(src_keys) == len(dst_keys)
+        ):
+            raise ValueError("message component lengths differ")
+        if src_keys is None and self._columnar_refusal is not None:
             raise NetworkError(
                 f"[{label} @ round {self.rounds}] columnar delivery is "
-                "unavailable under fault injection"
+                f"unavailable {self._columnar_refusal}"
             )
+        if self._resilience is not None:
+            from repro.model.faults import ResilientExchange
+
+            return ResilientExchange(self, self._resilience)._run(
+                src, dst, src_keys, dst_keys, label=label, lockstep=lockstep
+            )
+        return self._attempt(src, dst, src_keys, dst_keys, label=label, lockstep=lockstep)[0]
+
+    def _attempt(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        src_keys: list | None,
+        dst_keys: list | None,
+        *,
+        label: str,
+        attempt: int = 0,
+        lockstep: bool = False,
+    ) -> tuple[int, np.ndarray]:
+        """One delivery attempt of a nonempty phase.
+
+        Checks the endpoints; fixes each message's round (the first-fit
+        schedule, or round 0 for every message of a lockstep batch);
+        applies the fault plan's verdict; moves the words; bills the phase
+        (``<label>/retryN`` for a retry).  Returns ``(rounds_charged,
+        indices_of_lost_messages)``."""
         t0 = time.perf_counter_ns()
-        zero_rounds = np.zeros(src.size, dtype=np.int64)
+        self._check_ids(src, dst, label=label)
+        if lockstep:
+            rounds_arr, cache_hit = np.zeros(src.size, dtype=np.int64), False
+            if self.strict:
+                for ends, verb in ((src, "sends"), (dst, "receives")):
+                    if np.unique(ends).size != ends.size:
+                        raise NetworkError(
+                            f"[{label} @ round {self.rounds}] computer {verb} "
+                            "twice in one round"
+                        )
+        else:
+            rounds_arr, cache_hit = self._schedule(src, dst)
+            if self.strict:
+                try:
+                    validate_schedule(src, dst, rounds_arr)
+                except ValueError as exc:
+                    raise NetworkError(f"[{label} @ round {self.rounds}] {exc}") from exc
+        total = schedule_makespan(rounds_arr)
         inj = self._injector
         dec = (
-            inj.decide_phase(src, dst, zero_rounds, base_round=self.rounds, label=label)
+            inj.decide_phase(src, dst, rounds_arr, base_round=self.rounds, label=label)
             if inj is not None and inj.active
             else None
         )
+        if self._transport is not None:
+            self._move_wire(
+                src, dst, src_keys, dst_keys, rounds_arr,
+                label=label, t0=t0, cache_hit=cache_hit,
+            )
+        elif src_keys is not None:
+            self._move(src, dst, src_keys, dst_keys, rounds_arr, dec, label=label)
+        if dec is not None:
+            total += dec.extra_rounds
+        self._bill(
+            label if attempt == 0 else f"{label}/retry{attempt}",
+            total,
+            src.size + (dec.duplicates if dec is not None else 0),
+            t0,
+            cache_hit=cache_hit,
+            columnar=src_keys is None,
+        )
+        return total, (dec.lost_idx if dec is not None else np.empty(0, dtype=np.int64))
+
+    def _schedule(self, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, bool]:
+        cache = self._schedule_cache
+        if cache is not None:
+            rounds_arr, hit = cache.get_or_compute(src, dst, method=self.schedule_method)
+            if hit:
+                self.cache_hits += 1
+            else:
+                self.cache_misses += 1
+            return rounds_arr, hit
+        return greedy_two_sided_schedule(src, dst, method=self.schedule_method), False
+
+    def _move(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        src_keys: list,
+        dst_keys: list,
+        rounds_arr: np.ndarray,
+        dec,
+        *,
+        label: str,
+    ) -> None:
+        """In-process word mover: deliver in stable round order, checking
+        possession (and, in strict mode, that each payload is one word),
+        skipping the words the fault verdict ``dec`` lost and perturbing
+        its silent corruptions."""
+        order = np.argsort(rounds_arr, kind="stable")
+        corrupt = {}
+        if dec is not None:
+            order = order[dec.deliver[order]]
+            hit = np.flatnonzero(dec.corrupt)
+            if hit.size:
+                corrupt = dict(zip(hit.tolist(), dec.corrupt_h[hit].tolist()))
+            from repro.model.faults import corrupt_word
         mem = self.mem
-        sample = self._sample_memory if self.track_memory else None
-        for idx, (s, d, sk, dk) in enumerate(
-            zip(src.tolist(), dst.tolist(), src_keys, dst_keys)
-        ):
-            if dec is not None and not dec.deliver[idx]:
-                continue
-            if self.strict:
-                corrupt_h = (
-                    int(dec.corrupt_h[idx])
-                    if dec is not None and dec.corrupt[idx]
-                    else None
-                )
-                self._deliver_checked(
-                    Message(s, d, sk, dk),
-                    label=label,
-                    round_index=self.rounds,
-                    corrupt_h=corrupt_h,
-                )
-                continue
+        strict = self.strict
+        sample = self._sample_memory if self._peak_mem is not None else None
+        src_l = src.tolist()
+        dst_l = dst.tolist()
+        for i in order.tolist():
+            s, sk = src_l[i], src_keys[i]
             mem_src = mem[s]
             if sk not in mem_src:
-                raise NetworkError(
-                    f"[{label} @ round {self.rounds}] "
-                    f"computer {s} cannot send {sk!r}: not held"
-                )
+                raise self._not_held(label, int(rounds_arr[i]), s, sk)
             value = mem_src[sk]
-            if dec is not None and dec.corrupt[idx]:
-                value = corrupt_word(value, int(dec.corrupt_h[idx]))
-            mem[d][dk] = value
+            if strict and not _is_word(value):
+                raise NetworkError(
+                    f"[{label} @ round {self.rounds + max(int(rounds_arr[i]), 0)}] "
+                    f"payload {value!r} does not fit in one O(log n)-bit word"
+                )
+            if corrupt and i in corrupt:
+                value = corrupt_word(value, corrupt[i])
+            d = dst_l[i]
+            mem[d][dst_keys[i]] = value
             if sample is not None:
                 sample(d)
-        extra = dec.extra_rounds if dec is not None else 0
-        dups = dec.duplicates if dec is not None else 0
-        total = 1 + extra
-        self.rounds += total
-        self.messages_sent += int(src.size) + dups
-        self.phases.append(
-            PhaseRecord(
-                label,
-                total,
-                int(src.size) + dups,
-                wall_ns=time.perf_counter_ns() - t0,
-                cache_hit=False,
-                columnar=False,
-            )
-        )
-        if self._resilience is None:
-            return total
-        # resilient continuation: ack the delivered subset, then drive the
-        # generic retry loop over losses and unconfirmed deliveries
-        lost = dec.lost_idx if dec is not None else np.empty(0, dtype=np.int64)
-        all_idx = np.arange(src.size, dtype=np.int64)
-        delivered = np.setdiff1d(all_idx, lost, assume_unique=True)
-        ack_used, ack_lost_local = self._ack_attempt(
-            src[delivered], dst[delivered], label=label
-        )
-        total += ack_used
-        pending = np.sort(np.concatenate([lost, delivered[ack_lost_local]]))
-        if pending.size:
-            total += ResilientExchange(self, self._resilience)._run(
-                src[pending],
-                dst[pending],
-                [src_keys[i] for i in pending],
-                [dst_keys[i] for i in pending],
-                label=label,
-                attempt=1,
-            )
-        return total
 
-    def _deliver_checked(
+    def _move_wire(
         self,
-        msg: Message,
+        src: np.ndarray,
+        dst: np.ndarray,
+        src_keys: list,
+        dst_keys: list,
+        rounds_arr: np.ndarray,
         *,
-        label: str = "exchange",
-        round_index: int | None = None,
-        corrupt_h: int | None = None,
+        label: str,
+        t0: int,
+        cache_hit: bool,
     ) -> None:
-        rnd = self.rounds if round_index is None else round_index
-        if msg.src_key not in self.mem[msg.src]:
-            raise NetworkError(
-                f"[{label} @ round {rnd}] "
-                f"computer {msg.src} cannot send {msg.src_key!r}: not held"
-            )
-        value = self.mem[msg.src][msg.src_key]
-        if not _is_word(value):
-            raise NetworkError(
-                f"[{label} @ round {rnd}] "
-                f"payload {value!r} does not fit in one O(log n)-bit word"
-            )
-        if corrupt_h is not None:
-            from repro.model.faults import corrupt_word
+        """Wire word mover (see :mod:`repro.transport`): for each model
+        round, gather that round's payload words from the source
+        memories, ship them through
+        :meth:`~repro.transport.base.Transport.deliver_step` (one
+        barriered wire round), and commit the delivered words into the
+        destination memories.  Self-messages (round -1) cost no round and
+        are committed locally first.  The schedule fixed the bill before
+        any byte moves, so rounds/messages are identical to in-process
+        delivery; only wall-clock sees the wire.
 
-            value = corrupt_word(value, corrupt_h)
-        self.mem[msg.dst][msg.dst_key] = value
-        self._sample_memory(msg.dst)
+        Graceful degradation: if the transport declares a peer dead
+        (:class:`~repro.transport.base.PeerDied`, i.e. respawn budget
+        exhausted), the completed prefix of the phase is salvaged into
+        the bill under ``<label>/aborted`` and the failure surfaces as a
+        :class:`NetworkError` carrying the phase label and model round —
+        a clean typed abort, never a hang and never a silent result.
+        """
+        from repro.transport.base import PeerDied
+        from repro.transport.framing import decode_value, encode_value
+
+        mem = self.mem
+        sample = self._sample_memory if self._peak_mem is not None else None
+        total = schedule_makespan(rounds_arr)
+        src_l = src.tolist()
+        dst_l = dst.tolist()
+        rounds_l = rounds_arr.tolist()
+        order = np.argsort(rounds_arr, kind="stable").tolist()
+        pos = delivered = completed = 0
+        try:
+            for r in range(-1, total):
+                words = {}
+                while pos < len(order) and rounds_l[order[pos]] <= r:
+                    i = order[pos]
+                    pos += 1
+                    s, sk = src_l[i], src_keys[i]
+                    if sk not in mem[s]:
+                        raise self._not_held(label, r, s, sk)
+                    words[i] = mem[s][sk]
+                sent = len(words)
+                if r >= 0:
+                    entries = [(i, src_l[i], dst_l[i], encode_value(v)) for i, v in words.items()]
+                    blobs = self._transport.deliver_step(
+                        entries, label=label, round_no=self.rounds + r
+                    )
+                    words = {i: decode_value(blob) for i, blob in blobs.items()}
+                    completed = r + 1
+                for i, value in words.items():
+                    mem[dst_l[i]][dst_keys[i]] = value
+                    if sample is not None:
+                        sample(dst_l[i])
+                delivered += sent
+        except PeerDied as exc:
+            aborted_at = self.rounds + completed
+            self._bill(f"{label}/aborted", completed, delivered, t0, cache_hit=cache_hit)
+            raise NetworkError(
+                f"[{label} @ round {aborted_at}] transport peer failure after "
+                f"{completed}/{total} rounds: {exc}"
+            ) from exc
+
+    def _bill(
+        self,
+        label: str,
+        rounds: int,
+        messages: int,
+        t0: int | None = None,
+        *,
+        cache_hit: bool = False,
+        columnar: bool = False,
+    ) -> None:
+        """Charge one phase: advance the round and message counters and
+        record it (wall-clock since ``t0``, if given)."""
+        self.rounds += rounds
+        self.messages_sent += int(messages)
+        wall_ns = 0 if t0 is None else time.perf_counter_ns() - t0
+        self.phases.append(
+            PhaseRecord(label, rounds, int(messages), wall_ns, cache_hit, columnar)
+        )
+
+    def _not_held(self, label: str, round_in_phase: int, comp: int, key: Key) -> NetworkError:
+        """The possession error of a word its sender does not hold.  A
+        self-message (round -1) is reported at the phase's first round."""
+        return NetworkError(
+            f"[{label} @ round {self.rounds + max(round_in_phase, 0)}] "
+            f"computer {comp} cannot send {key!r}: not held"
+        )
 
     def _check_ids(
         self, src: np.ndarray, dst: np.ndarray, *, label: str = "exchange"
@@ -1160,7 +862,6 @@ class LowBandwidthNetwork:
             raise NetworkError(
                 f"[{label} @ round {self.rounds}] message endpoint outside the network"
             )
-
     # ------------------------------------------------------------------ #
     # Reporting
     # ------------------------------------------------------------------ #

@@ -61,19 +61,11 @@ class TracingNetwork(LowBandwidthNetwork):
         super().__init__(n, **kwargs)
         self.traces: list[PhaseTrace] = []
 
-    def _exchange_raw(self, src, dst, src_keys, dst_keys, *, label):
-        """Record the phase, then execute it normally.  Columnar phases
-        (``src_keys=None``) carry the same endpoint arrays, so they trace
-        identically to dict-keyed ones."""
-        used = super()._exchange_raw(src, dst, src_keys, dst_keys, label=label)
-        self.traces.append(
-            PhaseTrace(label, np.array(src, copy=True), np.array(dst, copy=True), used)
-        )
-        return used
-
-    def _execute_lockstep_arrays(self, src, dst, src_keys, dst_keys, *, label):
-        """Record a single-round phase, then execute it."""
-        used = super()._execute_lockstep_arrays(src, dst, src_keys, dst_keys, label=label)
+    def _dispatch(self, src, dst, src_keys, dst_keys, *, label, lockstep):
+        """Execute the phase normally, then record it.  Every phase kind —
+        scheduled, lockstep and columnar (``src_keys=None``) — enters
+        here, so they all trace alike."""
+        used = super()._dispatch(src, dst, src_keys, dst_keys, label=label, lockstep=lockstep)
         self.traces.append(
             PhaseTrace(label, np.array(src, copy=True), np.array(dst, copy=True), used)
         )

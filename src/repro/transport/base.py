@@ -15,12 +15,10 @@ source to its destination.  This module defines that seam:
     transports by construction.
 
 :class:`LocalTransport`
-    The in-process reference: delivery is a memory move.  This is the
-    transport the simulator has always been — the columnar fast path and
-    the dict-keyed loop in :mod:`repro.model.network` *are* its
-    implementation, inlined.  ``deliver_step`` exists so the protocol is
-    total, and the network keeps its historical inline path (bit-identity
-    pinned by the existing test suite).
+    The in-process reference: delivery is a memory move.  The network's
+    in-process word mover and its columnar fast path in
+    :mod:`repro.model.network` *are* its implementation, inlined;
+    ``deliver_step`` exists so the protocol is total.
 
 :class:`~repro.transport.socket_mesh.SocketTransport` (sibling module)
     The real wire: model computers are hosted by real OS processes, each
@@ -197,8 +195,8 @@ class Transport:
 class LocalTransport(Transport):
     """The in-process reference delivery plane (a memory move).
 
-    The network inlines this transport's semantics on its historical
-    fast paths (columnar planes, the dict-keyed loop); ``deliver_step``
+    The network inlines this transport's semantics in its in-process
+    word mover and columnar planes; ``deliver_step``
     implements the same move explicitly so the protocol is total and the
     socket transport has a bit-identity oracle at the delivery-plane
     level too.
