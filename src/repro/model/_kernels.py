@@ -3,10 +3,10 @@
 Profiling the cold path (BENCH_simulator.json) puts nearly all
 single-core time into two places:
 
-1. **Bucketed first-fit scheduling** — the sequential two-sided first-fit
-   of :func:`repro.model.scheduling.greedy_two_sided_schedule` (either the
-   per-message reference loop over Python big-int bitmasks, or the NumPy
-   bucketed variant when chunks stay large).
+1. **First-fit scheduling** — the sequential two-sided first-fit of
+   :func:`repro.model.scheduling.greedy_two_sided_schedule` (without this
+   kernel: the reference loop over Python big-int bitmasks, one step per
+   message or, on phases of repeated pairs, one step per run).
 2. **Columnar gather/scatter delivery** — the segment sums that realize
    value movement in the columnar algorithm paths
    (:meth:`repro.semirings.Semiring.segment_sum`, historically

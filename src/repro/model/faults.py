@@ -505,25 +505,17 @@ class ResilientExchange:
         label: str = "exchange",
     ) -> int:
         """Array-form reliable delivery (``exchange_arrays`` signature);
-        per-message keys are required so resends can be addressed."""
-        from repro.model.network import NetworkError
+        per-message keys are required so resends can be addressed.  The
+        phase enters the network's one phase entry under this protocol,
+        so it is checked and counted like any other phase."""
+        from repro.model.network import _array_columns
 
-        if src_keys is None:
-            raise NetworkError(
-                f"[{label} @ round {self.net.rounds}] resilient delivery needs "
-                "per-message keys; columnar phases cannot be acknowledged"
-            )
-        if dst_keys is None:
-            dst_keys = src_keys
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        if src.size == 0:
-            return 0
-        src_keys = list(src_keys)
-        dst_keys = list(dst_keys)
-        if not (src.size == dst.size == len(src_keys) == len(dst_keys)):
-            raise ValueError("message component lengths differ")
-        return self._run(src, dst, src_keys, dst_keys, label=label)
+        return self.net._dispatch(
+            *_array_columns(src, dst, src_keys, dst_keys),
+            label=label,
+            lockstep=False,
+            resilience=self.config,
+        )
 
     # -- protocol core -------------------------------------------------- #
     def _run(

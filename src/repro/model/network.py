@@ -147,6 +147,22 @@ def _message_columns(
     )
 
 
+def _array_columns(
+    src, dst, src_keys: Sequence[Key] | None, dst_keys: Sequence[Key] | None
+) -> tuple[np.ndarray, np.ndarray, list[Key] | None, list[Key] | None]:
+    """The same array form from ``exchange_arrays`` arguments:
+    ``dst_keys`` defaults to ``src_keys``; ``src_keys=None`` (columnar)
+    stays ``None``."""
+    if src_keys is not None:
+        src_keys = list(src_keys)
+        dst_keys = src_keys if dst_keys is None else list(dst_keys)
+    return np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64), src_keys, dst_keys
+
+
+#: why a phase under the ack/resend protocol cannot be columnar
+_ACK_REFUSAL = "under ack/resend delivery, which addresses resends by per-message keys"
+
+
 _SCALAR_TYPES = (int, float, bool, np.generic)
 
 
@@ -302,7 +318,8 @@ class LowBandwidthNetwork:
         self._columnar_refusal = (
             "in strict mode" if self.strict
             else "over a wire transport" if self._transport is not None
-            else "under fault injection" if fault_active or self._resilience is not None
+            else "under fault injection" if fault_active
+            else _ACK_REFUSAL if self._resilience is not None
             else None
         )
         self.columnar = bool(columnar) and self._columnar_refusal is None
@@ -435,12 +452,8 @@ class LowBandwidthNetwork:
         the caller performs the equivalent data movement as an array gather
         (see :meth:`exchange_columnar`).  Only legal in non-strict mode.
         """
-        if src_keys is not None:
-            src_keys = list(src_keys)
-            dst_keys = src_keys if dst_keys is None else list(dst_keys)
         return self._dispatch(
-            np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64),
-            src_keys, dst_keys, label=label, lockstep=False,
+            *_array_columns(src, dst, src_keys, dst_keys), label=label, lockstep=False
         )
 
     def exchange_columnar(
@@ -608,13 +621,16 @@ class LowBandwidthNetwork:
         *,
         label: str,
         lockstep: bool,
+        resilience: Any = None,
     ) -> int:
         """The one entry of every communication phase.
 
         An empty batch costs nothing.  Otherwise the phase counts one
         dispatch, and the batch is checked and delivered: through the
-        ack/resend protocol under ``resilience``, else as one
-        :meth:`_attempt`.  A ``lockstep`` batch must fit in one round."""
+        ack/resend protocol under ``resilience`` (a
+        :class:`~repro.model.faults.ResilienceConfig`; default: the
+        network's own), else as one :meth:`_attempt`.  A ``lockstep``
+        batch must fit in one round."""
         global _DISPATCH_COUNT
         if src.size == 0:
             return 0
@@ -623,15 +639,19 @@ class LowBandwidthNetwork:
             src_keys is not None and not src.size == len(src_keys) == len(dst_keys)
         ):
             raise ValueError("message component lengths differ")
-        if src_keys is None and self._columnar_refusal is not None:
+        if resilience is None:
+            resilience = self._resilience
+        refusal = self._columnar_refusal
+        if refusal is None and resilience is not None:
+            refusal = _ACK_REFUSAL
+        if src_keys is None and refusal is not None:
             raise NetworkError(
-                f"[{label} @ round {self.rounds}] columnar delivery is "
-                f"unavailable {self._columnar_refusal}"
+                f"[{label} @ round {self.rounds}] columnar delivery is unavailable {refusal}"
             )
-        if self._resilience is not None:
+        if resilience is not None:
             from repro.model.faults import ResilientExchange
 
-            return ResilientExchange(self, self._resilience)._run(
+            return ResilientExchange(self, resilience)._run(
                 src, dst, src_keys, dst_keys, label=label, lockstep=lockstep
             )
         return self._attempt(src, dst, src_keys, dst_keys, label=label, lockstep=lockstep)[0]

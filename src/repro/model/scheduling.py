@@ -20,33 +20,50 @@ Implementations
 
 The schedule is a pure function of the endpoint arrays, so any
 implementation is free as long as it reproduces the *reference* semantics:
-first-fit on both endpoints over the lexsorted message order.  Two are
-provided, both returning bit-identical assignments:
+first-fit on both endpoints over the lexsorted message order.  Two methods
+are provided, both returning bit-identical assignments:
 
 * ``method="reference"`` — a per-message Python loop using arbitrary-width
-  integer bitmasks as occupancy sets (the historical dict-of-sets loop,
-  compacted; kept as the executable specification).
-* ``method="vectorized"`` — the fast path: degree-special-cased closed
-  forms where first-fit has one (single endpoint, degree-1 sides), and
-  otherwise a NumPy *bucketed* first-fit that repeatedly commits, in one
-  vectorized step, every pending message that heads both its sender's and
-  its receiver's queue (such a chunk has pairwise-distinct endpoints, so
-  the sequential and the batched assignment coincide).  Occupancy lives in
-  dense ``(endpoints x rounds_bound)`` uint64 bitsets; the first free
-  round is extracted with word-level bit tricks.  A stall detector drops
-  back to the reference loop (seeded from the bitsets) on adversarial
-  dependency chains, so the worst case never exceeds the reference cost.
+  integer bitmasks as occupancy sets (kept as the executable
+  specification).
+* ``method="vectorized"`` — the fast path.  It numbers the endpoints
+  densely and finds the lexsorted order with one stable argsort of a
+  combined ``(src, dst)`` key (the same permutation ``np.lexsort`` gives),
+  then takes, in this order:
 
-``method="auto"`` (the default) picks the vectorized path for large phases
-and the reference loop for small ones, where interpreter dispatch beats
-array set-up cost.
+  1. closed forms where first-fit is a rank function (a single endpoint
+     on one side, or degree 1 on one side);
+  2. the compiled word-bitset kernel of :mod:`repro.model._kernels`, when
+     the optional Numba backend is active (``REPRO_KERNELS``); it runs the
+     specification message by message;
+  3. *run-collapsed* first-fit when the phase's ``(src, dst)`` runs average
+     at least two messages, else the reference loop (on shorter runs the
+     per-run bookkeeping costs more than it saves; the measured crossover
+     is in EXPERIMENTS.md E26).
 
-When the optional compiled backend is active
-(:mod:`repro.model._kernels`, selected via ``REPRO_KERNELS``), large
-phases run the Numba word-bitset first-fit kernel instead of the chunked
-NumPy path.  The kernel executes the same sequential first-fit
-specification message by message, so its assignments are bit-identical
-to the reference loop — the parity tests assert it byte-for-byte.
+``method="auto"`` (the default) is ``"vectorized"`` for phases of at least
+``_SMALL_PHASE`` remote messages and the reference loop below that, where
+interpreter dispatch beats array set-up cost.
+
+The run lemma
+-------------
+
+In lexsorted order the ``k`` copies of one ``(src, dst)`` pair are
+consecutive: a *run*.  Let ``u = send[src] | recv[dst]`` be the union of
+the two endpoints' busy rounds when the run starts.  The first copy takes
+the lowest zero bit of ``u`` and marks it busy at *both* endpoints, so for
+the second copy the union is ``u`` plus that bit, and it takes the next
+zero bit of ``u``; no other endpoint's state is read inside the run.  By
+induction the run takes exactly the ``k`` lowest zero bits of ``u``, in
+ascending order.  :func:`_first_fit_runs` therefore does one step per
+run: fill the ``k`` lowest zero bits (``x |= x + 1``, ``k`` times, or one
+shift when they are contiguous), take the new bits as one mask, and OR
+it into both endpoints.  A contiguous run is kept as its first round; any
+other keeps its mask shifted down to that round.  Reading the runs back
+in order, each in ascending bit order, lists the rounds in message
+order.  This is the reference loop with its steps grouped, not an
+approximation, so the assignments are byte-identical; the parity tests
+assert it.
 """
 
 from __future__ import annotations
@@ -64,11 +81,9 @@ __all__ = [
 # Below this many remote messages the plain loop wins on constant factors.
 _SMALL_PHASE = 192
 
-# Chunked first-fit keeps per-endpoint occupancy bitsets of
-# ``ceil(bound / 64)`` words; beyond this bound (in rounds) the dense
-# bitsets stop paying for themselves and the reference loop takes over.
+# The compiled kernel keeps ``ceil(bound / 64)`` occupancy words per
+# endpoint; beyond this bound (in rounds) it is not used.
 _MAX_BITSET_BOUND = 1 << 14
-
 
 def greedy_two_sided_schedule(
     src: np.ndarray, dst: np.ndarray, *, method: str = "auto"
@@ -113,14 +128,23 @@ def greedy_two_sided_schedule(
     # the documented guarantee.  (A monotone per-sender pointer is NOT
     # sufficient: skipping a sender's earlier free slots can push the
     # makespan past the bound; found by the property tests.)
-    idx = np.lexsort((dst[remote].ravel(), src[remote].ravel()))
-    r_src = src[remote][idx]
-    r_dst = dst[remote][idx]
-
+    r_src = src[remote]
+    r_dst = dst[remote]
     if method == "reference" or (method == "auto" and r_src.size < _SMALL_PHASE):
-        assigned = _first_fit_reference(r_src, r_dst)
+        idx = np.lexsort((r_dst, r_src))
+        assigned = _first_fit_reference(r_src[idx], r_dst[idx])
     else:
-        assigned = _first_fit_vectorized(r_src, r_dst)
+        # One stable argsort of a combined key over dense endpoint ids
+        # gives the lexsort order (ties stay in position order); in the
+        # narrowest unsigned type that holds it, NumPy radix-sorts keys of
+        # up to 16 bits.
+        s_uniq, s_ids = np.unique(r_src, return_inverse=True)
+        d_uniq, d_ids = np.unique(r_dst, return_inverse=True)
+        n_send, n_recv = s_uniq.size, d_uniq.size
+        key = (s_ids * n_recv + d_ids).astype(np.min_scalar_type(n_send * n_recv - 1))
+        idx = np.argsort(key, kind="stable")
+        s_ids, d_ids = s_ids[idx], d_ids[idx]  # unsorted ids would stay alive in the loop
+        assigned = _first_fit_vectorized(s_ids, d_ids, n_send, n_recv)
 
     out_remote = np.empty(r_src.size, dtype=np.int64)
     out_remote[idx] = assigned
@@ -131,12 +155,7 @@ def greedy_two_sided_schedule(
 # --------------------------------------------------------------------- #
 # Reference first-fit (executable specification)
 # --------------------------------------------------------------------- #
-def _first_fit_reference(
-    r_src: np.ndarray,
-    r_dst: np.ndarray,
-    send_occ: dict | None = None,
-    recv_occ: dict | None = None,
-) -> np.ndarray:
+def _first_fit_reference(r_src: np.ndarray, r_dst: np.ndarray) -> np.ndarray:
     """Sequential first-fit over the given (already ordered) messages.
 
     Occupancy sets are arbitrary-width Python integers: bit ``t`` of a
@@ -145,13 +164,11 @@ def _first_fit_reference(
     ``(~u) & (u + 1)`` — identical semantics to the historical set-based
     loop.  Endpoints are mapped to compact ids once, so the sets live in
     lists, and the loop only records each round's bit length.
-    ``send_occ``/``recv_occ`` (endpoint -> bitmask) seed the sets, which
-    lets the vectorized path hand over mid-phase state.
     """
     s_ids, s_inv = np.unique(r_src, return_inverse=True)
     d_ids, d_inv = np.unique(r_dst, return_inverse=True)
-    send = [send_occ.get(s, 0) for s in s_ids.tolist()] if send_occ else [0] * s_ids.size
-    recv = [recv_occ.get(d, 0) for d in d_ids.tolist()] if recv_occ else [0] * d_ids.size
+    send = [0] * s_ids.size
+    recv = [0] * d_ids.size
     lengths = []
     record = lengths.append
     for s, d in zip(s_inv.tolist(), d_inv.tolist()):
@@ -180,19 +197,13 @@ def _ranks_within_groups(group_ids: np.ndarray, num_groups: int) -> np.ndarray:
     return ranks
 
 
-def _first_fit_vectorized(r_src: np.ndarray, r_dst: np.ndarray) -> np.ndarray:
-    """Exact vectorized equivalent of :func:`_first_fit_reference` on
-    messages pre-sorted by ``(src, dst)``."""
-    p = r_src.size
-    # r_src is sorted, so its unique/inverse come from change flags alone.
-    s_change = np.empty(p, dtype=bool)
-    s_change[0] = True
-    np.not_equal(r_src[1:], r_src[:-1], out=s_change[1:])
-    s_inv = np.cumsum(s_change) - 1
-    n_send = int(s_inv[-1]) + 1
-    recv_ids, d_inv = np.unique(r_dst, return_inverse=True)
-    d_inv = d_inv.astype(np.int64, copy=False)
-    n_recv = recv_ids.size
+def _first_fit_vectorized(
+    s_inv: np.ndarray, d_inv: np.ndarray, n_send: int, n_recv: int
+) -> np.ndarray:
+    """Exact vectorized equivalent of :func:`_first_fit_reference` on a
+    lexsorted phase over dense endpoint ids (``range(n_send)`` /
+    ``range(n_recv)``, every id used)."""
+    p = s_inv.size
     send_deg = np.bincount(s_inv, minlength=n_send)
     recv_deg = np.bincount(d_inv, minlength=n_recv)
     s_max = int(send_deg.max())
@@ -212,116 +223,96 @@ def _first_fit_vectorized(r_src: np.ndarray, r_dst: np.ndarray) -> np.ndarray:
     if r_max == 1:
         # every receiver receives once: senders fill contiguous prefixes;
         # messages are sorted by sender, so ranks are offsets in runs.
-        starts = np.flatnonzero(s_change)
+        starts = np.cumsum(send_deg) - send_deg
         return np.arange(p, dtype=np.int64) - starts[s_inv]
 
     bound = s_max + r_max - 1
     # The compiled kernel runs the sequential specification directly over
-    # word bitsets — no chunking heuristics, no stall detector — and wins
-    # on every shape once compilation is amortized.
+    # word bitsets and wins on every shape once compilation is amortized.
     if bound <= _MAX_BITSET_BOUND and _kernels.first_fit_available():
         return _kernels.first_fit_words(s_inv, d_inv, n_send, n_recv, bound)
-    # Chunked commits pay off only when chunks are large, i.e. when the
-    # multigraph is low-degree: a message commits iff it heads *both* its
-    # endpoint queues, so dense phases (mean degree >> 1) yield chunks no
-    # larger than the endpoint count and the per-iteration overhead loses
-    # to the plain loop.
-    mean_deg = p / max(n_send, n_recv)
-    if bound > _MAX_BITSET_BOUND or mean_deg > 8.0:
-        return _first_fit_reference(r_src, r_dst)
-    return _first_fit_chunked(s_inv, d_inv, n_send, n_recv, bound)
+    runs = _runs(s_inv, d_inv)
+    # A step per run costs more than a step per message on short runs;
+    # the two cross at a mean run length of 2-3 (EXPERIMENTS.md E26).
+    if p >= 2 * runs[2].size:
+        return _first_fit_runs(*runs, n_send, n_recv)
+    return _first_fit_reference(s_inv, d_inv)
 
 
-def _first_fit_chunked(
-    s_inv: np.ndarray,
-    d_inv: np.ndarray,
+def _runs(s_inv: np.ndarray, d_inv: np.ndarray):
+    """Run-length encoding of a lexsorted phase: each maximal block of
+    equal ``(src, dst)`` pairs as ``(run_src, run_dst, run_len)``."""
+    p = s_inv.size
+    head = np.empty(p, dtype=bool)
+    head[0] = True
+    np.not_equal(s_inv[1:], s_inv[:-1], out=head[1:])
+    head[1:] |= d_inv[1:] != d_inv[:-1]
+    starts = np.flatnonzero(head)
+    return s_inv[starts], d_inv[starts], np.diff(starts, append=p)
+
+
+def _first_fit_runs(
+    run_src: np.ndarray,
+    run_dst: np.ndarray,
+    run_len: np.ndarray,
     n_send: int,
     n_recv: int,
-    bound: int,
 ) -> np.ndarray:
-    """Bucketed first-fit: per iteration, commit every message that is the
-    current head of both its sender's and its receiver's pending queue.
+    """Run-collapsed first-fit: the assignment of
+    :func:`_first_fit_reference` on the phase whose lexsorted messages are
+    ``run_len[j]`` copies of ``(run_src[j], run_dst[j])``, run after run.
 
-    Within such a chunk all senders and all receivers are pairwise
-    distinct, and every earlier conflicting message has already been
-    assigned — so each chunk member sees exactly the occupancy state the
-    sequential loop would, and the batch assignment is bit-identical to
-    sequential first-fit.  The earliest pending message always heads both
-    of its queues, so progress is guaranteed; adversarial dependency
-    chains that force tiny chunks trip the stall detector and finish in
-    the reference loop, seeded with the current occupancy bitsets.
+    Endpoint ids lie in ``range(n_send)`` / ``range(n_recv)``.  Each run
+    takes the ``k`` lowest zero bits of its endpoints' union (the run
+    lemma in the module docstring).  A run whose ``k`` rounds are
+    consecutive is kept as its first round; any other run also keeps its
+    taken mask shifted down to that round, so a mask is as wide as the
+    rounds its run spans.  The masks are read back as little-endian
+    64-bit words: the nonzero words' set bits, in ascending order, are
+    the run's rounds in message order.
     """
-    p = s_inv.size
-    W = (bound + 63) >> 6
-    flat = W == 1  # the common low-degree case: one word per endpoint
-    if flat:
-        send_occ = np.zeros(n_send, dtype=np.uint64)
-        recv_occ = np.zeros(n_recv, dtype=np.uint64)
-    else:
-        send_occ = np.zeros((n_send, W), dtype=np.uint64)
-        recv_occ = np.zeros((n_recv, W), dtype=np.uint64)
-    assigned = np.full(p, -1, dtype=np.int64)
+    send = [0] * n_send
+    recv = [0] * n_recv
+    first = []  # per run: 1 + its first round, negated when it keeps a mask
+    masks = []
+    record = first.append
+    for s, d, k in zip(run_src.tolist(), run_dst.tolist(), run_len.tolist()):
+        u = send[s] | recv[d]
+        low = (~u) & (u + 1)
+        t = (low << k) - low  # the k bits from u's lowest zero bit up
+        b = low.bit_length()
+        if u & t:  # not all free: fill u's zero bits one at a time
+            x = u
+            for _ in range(k):
+                x |= x + 1
+            t = x ^ u
+            masks.append(t >> (b - 1))
+            b = -b
+        send[s] |= t
+        recv[d] |= t
+        record(b)
 
-    # Sender queues: messages are sorted by (src, dst), so each sender's
-    # pending messages are a contiguous range with a moving head pointer.
-    src_ptr = np.searchsorted(s_inv, np.arange(n_send, dtype=np.int64))
-    src_end = np.append(src_ptr[1:], p)
-    # Receiver queues: pending order viewed through a (dst, position) sort.
-    dorder = np.argsort(d_inv, kind="stable").astype(np.int64)
-    dst_ptr = np.searchsorted(d_inv[dorder], np.arange(n_recv, dtype=np.int64))
-
-    active = np.flatnonzero(src_ptr < src_end)
-    iters = 0
-    done = 0
-    while active.size:
-        iters += 1
-        heads = src_ptr[active]  # one candidate message per active sender
-        # a candidate commits iff it also heads its receiver's queue
-        sel = heads[dorder[dst_ptr[d_inv[heads]]] == heads]
-        done += sel.size
-        if iters >= 16 and done < iters * 64:
-            # chunks are running small (adversarial dependency chain or
-            # unexpectedly dense core): finish sequentially, seeded with
-            # the occupancy accumulated so far.
-            pending = np.flatnonzero(assigned < 0)
-            occ2d = send_occ.reshape(n_send, W), recv_occ.reshape(n_recv, W)
-            send_int = {
-                int(s): int.from_bytes(occ2d[0][s].tobytes(), "little")
-                for s in np.unique(s_inv[pending])
-            }
-            recv_int = {
-                int(d): int.from_bytes(occ2d[1][d].tobytes(), "little")
-                for d in np.unique(d_inv[pending])
-            }
-            assigned[pending] = _first_fit_reference(
-                s_inv[pending], d_inv[pending], send_int, recv_int
-            )
-            return assigned
-
-        su = s_inv[sel]
-        du = d_inv[sel]
-        if flat:
-            free = ~(send_occ[su] | recv_occ[du])
-            lsb = free & (~free + np.uint64(1))
-            # bit position of an isolated bit: exact via float log2 (< 2^64)
-            assigned[sel] = np.log2(lsb.astype(np.float64)).astype(np.int64)
-            send_occ[su] |= lsb
-            recv_occ[du] |= lsb
-        else:
-            free = ~(send_occ[su] | recv_occ[du])
-            word_idx = np.argmax(free != np.uint64(0), axis=1)
-            rows = np.arange(sel.size, dtype=np.int64)
-            words = free[rows, word_idx]
-            lsb = words & (~words + np.uint64(1))
-            bit = np.log2(lsb.astype(np.float64)).astype(np.int64)
-            assigned[sel] = (word_idx.astype(np.int64) << 6) + bit
-            send_occ[su, word_idx] |= lsb
-            recv_occ[du, word_idx] |= lsb
-
-        src_ptr[su] += 1
-        dst_ptr[du] += 1
-        active = active[src_ptr[active] < src_end[active]]
-    return assigned
+    first = np.fromiter(first, dtype=np.int64, count=len(first))
+    has_mask = first < 0
+    first = np.abs(first) - 1
+    out = np.arange(int(run_len.sum()), dtype=np.int64)
+    out += np.repeat(first - (np.cumsum(run_len) - run_len), run_len)
+    if masks:
+        words = np.fromiter(
+            [(t.bit_length() + 63) >> 6 for t in masks], dtype=np.int64, count=len(masks)
+        )
+        buf = np.frombuffer(
+            b"".join([t.to_bytes(w << 3, "little") for t, w in zip(masks, words.tolist())]),
+            dtype="<u8",
+        )
+        owner = np.repeat(np.arange(len(masks)), words)  # each word's mask
+        offset = np.arange(buf.size) - np.repeat(np.cumsum(words) - words, words)
+        nz = np.flatnonzero(buf)
+        bit = np.flatnonzero(np.unpackbits(buf[nz].view(np.uint8), bitorder="little"))
+        w = nz[bit >> 6]
+        rounds = first[has_mask][owner[w]] + (offset[w] << 6) + (bit & 63)
+        out[np.repeat(has_mask, run_len)] = rounds
+    return out
 
 
 def schedule_makespan(rounds: np.ndarray) -> int:

@@ -34,7 +34,8 @@ def fresh_backend(monkeypatch):
 
 def _golden_multigraphs():
     """Deterministic message multigraphs covering the scheduling regimes:
-    balanced, dense (bucketed path), fan-in, fan-out, and duplicates."""
+    balanced, dense (repeated pairs, the shape the run-collapsed path
+    takes), fan-in, fan-out, and duplicates."""
     rng = np.random.default_rng(20240608)
     shapes = [(5, 7, 60), (16, 16, 256), (3, 40, 120), (25, 4, 200), (2, 2, 64)]
     cases = []

@@ -73,6 +73,27 @@ def test_tracing_records_lockstep_phases():
     assert all(t.rounds == 1 for t in net.traces)
 
 
+def test_tracing_skips_empty_batches():
+    """An empty batch runs no phase, so it leaves no trace and no
+    ``phase_load_report`` row."""
+    net = TracingNetwork(4)
+    empty = np.empty(0, dtype=np.int64)
+    net.exchange_arrays(empty, empty, [], label="empty")
+    net.exchange_columnar(empty, empty, label="empty")
+    net._execute_lockstep_arrays(empty, empty, [], [], label="empty")
+    assert net.traces == []
+    assert phase_load_report(net) == []
+
+
+def test_tracing_records_explicit_resilient_exchange():
+    from repro.model.faults import ResilientExchange
+
+    net = TracingNetwork(4)
+    net.deal(0, "k", 1.0)
+    ResilientExchange(net).exchange_arrays(np.array([0]), np.array([1]), ["k"], label="p")
+    assert [t.label for t in net.traces] == ["p"]
+
+
 # ------------------------------------------------------------------ #
 # selfcheck
 # ------------------------------------------------------------------ #
