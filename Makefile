@@ -75,11 +75,13 @@ serve-smoke:
 # Compiled-replay-plan smoke: the plan test suite (batched-kernel parity,
 # bit-identity of tensor-batched replay to per-job execution across every
 # semiring and job kind, honest fallbacks under faults/certification, plan
-# store round trips), then the serving bench whose hard gates include
-# zero-dispatch plan replay strictly faster than the warm per-job baseline.
+# store round trips), the value-path equivalence matrix (default,
+# per-message, strict and replayed Lemma 3.1 runs byte-identical), then the
+# serving bench whose hard gates include zero-dispatch plan replay strictly
+# faster than the warm per-job baseline.
 # Emits benchmarks/results/BENCH_serving.json (CI uploads it as an artifact).
 plan-smoke:
-	pytest tests/test_plan.py -q
+	pytest tests/test_plan.py tests/test_value_paths.py -q
 	REPRO_BENCH_SMOKE=1 REPRO_SERVE_WORKERS=2 \
 		pytest benchmarks/bench_serving.py --benchmark-only
 

@@ -33,18 +33,24 @@ Ablation switches reproduce the mechanisms being compared:
 * ``use_trees=False`` — anchors spread/collect run values by direct
   sequential messages instead of trees (cost gains an additive ``O(m)``,
   the factor the paper's tree routing removes).
+
+There is one pipeline: every phase's endpoint arrays are built once,
+array-native.  When words move through the per-computer dict memories
+(strict mode, a wire transport, fault injection, ``columnar=False``) the
+phases carry keys and each computer runs its local steps on what it
+holds.  Otherwise the phases are charged columnar and the values come
+from :meth:`repro.model.plan.StageFold.totals` — the same additions, in
+the order the convergecast trees fix, so both give the same bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.model.collectives import (
-    doubling_batches_arrays,
-    halving_batches_arrays,
-    segments_from_sorted,
-)
+from repro.algorithms.base import accumulate_at_owners, local_products, ordered_fold
+from repro.model.collectives import doubling_batches_arrays, halving_batches_arrays
 from repro.model.network import LowBandwidthNetwork
+from repro.model.plan import StageFold
 from repro.supported.instance import SupportedInstance
 
 __all__ = ["process_few_triangles", "default_kappa"]
@@ -53,15 +59,6 @@ __all__ = ["process_few_triangles", "default_kappa"]
 def default_kappa(num_triangles: int, n: int) -> int:
     """The balanced per-virtual-node budget ``kappa = ceil(|T| / n)``."""
     return max(1, -(-num_triangles // n))
-
-
-def _chunked_slot_owners(num_slots: int, n: int) -> np.ndarray:
-    """Assign sorted array slots to computers in contiguous chunks of size
-    ``ceil(num_slots / n)`` (the paper's 'at most kappa triples each')."""
-    if num_slots == 0:
-        return np.empty(0, dtype=np.int64)
-    chunk = -(-num_slots // n)
-    return np.arange(num_slots, dtype=np.int64) // chunk
 
 
 def _dedup_triples(a: np.ndarray, b: np.ndarray, c: np.ndarray, base_b: int, base_c: int):
@@ -76,150 +73,103 @@ def _dedup_triples(a: np.ndarray, b: np.ndarray, c: np.ndarray, base_b: int, bas
     return aa, bb, cc, inv.astype(np.int64, copy=False)
 
 
-def _spanning_segments(pair_keys: np.ndarray, slot_comp: np.ndarray):
-    segs = segments_from_sorted(pair_keys, slot_comp)
-    spanning = [(idx, s) for idx, s in enumerate(segs) if s.size > 1]
-    return segs, spanning
+def _layout(first: np.ndarray, second: np.ndarray, n: int):
+    """Lay a sorted triple array over the computers in contiguous chunks of
+    ``ceil(slots / n)`` slots (the paper's 'at most kappa triples each').
 
-
-def _spread_along_runs(
-    net: LowBandwidthNetwork,
-    spanning,
-    key_of_run,
-    *,
-    use_trees: bool,
-    label: str,
-) -> None:
-    """Spread each run's value from its anchor to the other computers of
-    the run — trees (parallel, parity-split) or direct sequential sends."""
-    if not spanning:
-        return
-    if use_trees:
-        for parity in (0, 1):
-            group = [s for pos, (idx, s) in enumerate(spanning) if pos % 2 == parity]
-            keys = [
-                key_of_run(idx)
-                for pos, (idx, s) in enumerate(spanning)
-                if pos % 2 == parity
-            ]
-            if group:
-                net.segmented_broadcast(group, keys, label=label)
-    else:
-        src, dst, keys = [], [], []
-        for idx, seg in spanning:
-            key = key_of_run(idx)
-            for comp in seg[1:]:
-                src.append(int(seg[0]))
-                dst.append(int(comp))
-                keys.append(key)
-        net.exchange_arrays(np.asarray(src), np.asarray(dst), keys, label=label)
-
-
-def _collect_along_runs(
-    net: LowBandwidthNetwork,
-    spanning,
-    key_of_run,
-    combine,
-    *,
-    use_trees: bool,
-    label: str,
-) -> None:
-    """Mirror of :func:`_spread_along_runs` for aggregation."""
-    if not spanning:
-        return
-    if use_trees:
-        for parity in (0, 1):
-            group = [s for pos, (idx, s) in enumerate(spanning) if pos % 2 == parity]
-            keys = [
-                key_of_run(idx)
-                for pos, (idx, s) in enumerate(spanning)
-                if pos % 2 == parity
-            ]
-            if group:
-                net.segmented_convergecast(group, keys, combine, label=label)
-    else:
-        # direct sequential: every non-anchor computer of the run sends its
-        # partial straight to the anchor, which combines locally
-        src, dst, skeys, dkeys = [], [], [], []
-        combos = []
-        for idx, seg in spanning:
-            key = key_of_run(idx)
-            for t, comp in enumerate(seg[1:]):
-                tmp = ("__dc__", key, int(comp))
-                src.append(int(comp))
-                dst.append(int(seg[0]))
-                skeys.append(key)
-                dkeys.append(tmp)
-                combos.append((int(seg[0]), key, tmp))
-        net.exchange_arrays(np.asarray(src), np.asarray(dst), skeys, dkeys, label=label)
-        for comp, key, tmp in combos:
-            acc = combine(net.mem[comp][key], net.mem[comp][tmp])
-            net.write(comp, key, acc, provenance=(key, tmp))
-            net.delete(comp, tmp)
-
-
-def _route_input_to_hosts(
-    net: LowBandwidthNetwork,
-    *,
-    n: int,
-    first: np.ndarray,
-    second: np.ndarray,
-    vids: np.ndarray,
-    num_vids: int,
-    owner_of_pair,
-    owner_key_prefix: str,
-    value_key_prefix: str,
-    host_of_vid: np.ndarray,
-    use_trees: bool,
-    label: str,
-) -> None:
-    """Steps 1/2 of the routing scheme for one input matrix.
-
-    ``(first, second, vids)`` is the deduplicated sorted triple array, e.g.
-    ``(i, j, i')`` for matrix ``A``.  After this call, the host of every
-    virtual node holds ``(value_key_prefix, first, second)`` for each of
-    its triples.
-    """
-    num_slots = first.size
-    if num_slots == 0:
-        return
-    slot_comp = _chunked_slot_owners(num_slots, n)
+    Returns ``(slot_comp, starts, seg_first, seg_of_slot, seg_counts)``:
+    each slot's computer, the first slot (anchor) of each run of equal
+    ``(first, second)``, the first slot of each (run, computer) segment,
+    each slot's segment, and each run's number of segments."""
+    num = first.size
+    slot_comp = np.arange(num, dtype=np.int64) // -(-num // n)
     pair_keys = first * n + second
+    change = np.empty(num, dtype=bool)
+    change[0] = True
+    np.not_equal(pair_keys[1:], pair_keys[:-1], out=change[1:])
+    seg = change.copy()
+    seg[1:] |= slot_comp[1:] != slot_comp[:-1]
+    seg_first = np.flatnonzero(seg)
+    seg_counts = np.bincount(np.cumsum(change)[seg_first] - 1)
+    return slot_comp, np.flatnonzero(change), seg_first, np.cumsum(seg) - 1, seg_counts
 
-    # runs of equal (first, second) and their anchors
-    segs_all, spanning = _spanning_segments(pair_keys, slot_comp)
 
-    # phase 1: owner -> anchor, one message per distinct pair
-    starts = np.flatnonzero(
-        np.concatenate(([True], pair_keys[1:] != pair_keys[:-1]))
+def _keys(keyed: bool, prefix, *cols):
+    """Dict keys ``(prefix, *row)`` for the rows of ``cols`` — or ``None``,
+    a columnar phase, when words do not move through dict memories."""
+    if not keyed:
+        return None
+    return [(prefix, *row) for row in zip(*(c.tolist() for c in cols))]
+
+
+def _along_runs(net, seg_comp, seg_counts, run_keys, sr=None, *, collect, use_trees, label):
+    """Spread each run's value from its anchor to the run's other
+    computers, or (``collect``) add their partials into the anchor's.
+
+    Run ``g``'s computers are ``seg_comp[starts[g] : starts[g] +
+    seg_counts[g]]``, anchor first; only runs on more than one computer
+    communicate.  With ``use_trees`` the runs split by parity (neighbouring
+    runs may share a computer) and each half moves along parallel
+    doubling (spread) or halving (collect) trees, one lockstep batch per
+    level; without, each anchor exchanges directly with its run's other
+    computers, run by run, in one scheduled batch.  With ``run_keys`` the
+    words move through dict memories and a receiver adds each arriving
+    partial into its own entry, in message order; without, the phases
+    are charged columnar."""
+    starts = np.cumsum(seg_counts) - seg_counts
+    span = np.flatnonzero(seg_counts > 1)
+    if use_trees:
+        gen = halving_batches_arrays if collect else doubling_batches_arrays
+        batches = (
+            (src, dst, runs[k], True)
+            for runs in (span[0::2], span[1::2])
+            for src, dst, k in gen(seg_comp, starts[runs], seg_counts[runs])
+        )
+    else:
+        others = seg_counts[span] - 1
+        run = np.repeat(span, others)
+        anchor = starts[run]
+        other = anchor + 1 + np.arange(run.size) - np.repeat(np.cumsum(others) - others, others)
+        src, dst = (other, anchor) if collect else (anchor, other)
+        batches = [(seg_comp[src], seg_comp[dst], run, False)] if run.size else []
+    for src, dst, run, lockstep in batches:
+        deliver = net._execute_lockstep_arrays if lockstep else net.exchange_arrays
+        phase = f"{label}/{'halving' if collect else 'doubling'}" if lockstep else label
+        keys = dkeys = None if run_keys is None else [run_keys[r] for r in run.tolist()]
+        if collect and keys is not None:
+            dkeys = [("__cc__", k, c) for k, c in zip(keys, src.tolist())]
+        deliver(src, dst, keys, dkeys, label=phase)
+        if dkeys is not keys:
+            owners = dst.tolist()
+            accumulate_at_owners(net, sr, owners, keys, net.read_many(owners, dkeys, sr.dtype))
+            net.delete_many(owners, dkeys)
+
+
+def _route_to_hosts(
+    net, first, second, host, owner_of_pair, owner_key, value_key, *, n, keyed, use_trees, label
+) -> None:
+    """Steps 1-2 of the routing scheme for one input matrix.
+
+    ``(first, second)`` are the pairs of its deduplicated sorted triple
+    array (e.g. ``(i, j)`` of ``(i, j, i')`` for ``A``) and ``host`` each
+    triple's virtual-node host.  The owner of each value sends it once to
+    its run's anchor, the anchor spreads it along the run, and every slot
+    forwards it to its host, which then holds ``(value_key, first, second)``.
+    """
+    slot_comp, starts, seg_first, _, seg_counts = _layout(first, second, n)
+    f, g = first[starts], second[starts]
+    run_keys = _keys(keyed, value_key, f, g)
+    net.exchange_arrays(
+        owner_of_pair(f, g), slot_comp[starts], _keys(keyed, owner_key, f, g), run_keys,
+        label=f"{label}-anchor",
     )
-    src, dst, skeys, dkeys = [], [], [], []
-    for s in starts:
-        f, g = int(first[s]), int(second[s])
-        owner = owner_of_pair(f, g)
-        anchor = int(slot_comp[s])
-        src.append(owner)
-        dst.append(anchor)
-        skeys.append((owner_key_prefix, f, g))
-        dkeys.append((value_key_prefix, f, g))
-    net.exchange_arrays(np.asarray(src), np.asarray(dst), skeys, dkeys, label=f"{label}-anchor")
-
-    # phase 2: spread along runs
-    run_pair = {}
-    for idx, s in enumerate(starts):
-        run_pair[idx] = (int(first[s]), int(second[s]))
-
-    def key_of_run(idx):
-        f, g = run_pair[idx]
-        return (value_key_prefix, f, g)
-
-    _spread_along_runs(net, spanning, key_of_run, use_trees=use_trees, label=f"{label}-spread")
-
-    # phase 3: slot -> virtual-node host
-    src = slot_comp
-    dst = host_of_vid[vids]
-    keys = [(value_key_prefix, int(f), int(g)) for f, g in zip(first, second)]
-    net.exchange_arrays(src, dst, keys, label=f"{label}-tohost")
+    _along_runs(
+        net, slot_comp[seg_first], seg_counts, run_keys,
+        collect=False, use_trees=use_trees, label=f"{label}-spread",
+    )
+    net.exchange_arrays(
+        slot_comp, host, _keys(keyed, value_key, first, second), label=f"{label}-tohost"
+    )
 
 
 def process_few_triangles(
@@ -244,11 +194,10 @@ def process_few_triangles(
     ring/field): the two-phase driver's field mode uses this to cancel
     triangle contributions that a bilinear cluster kernel double-counted.
 
-    On non-strict networks with ``net.columnar`` set, the same message
-    batches are executed through the columnar value-plane path (array
-    gathers and segment sums instead of per-message dict delivery);
-    schedules, labels and round counts are identical to the per-message
-    path — see docs/model.md, "Fast path & schedule cache".
+    On networks with ``net.columnar`` set, the same phases are charged
+    columnar and the values fold in planes (:class:`StageFold`);
+    schedules, labels, round counts and values are identical to the
+    per-message path — see docs/model.md, "Fast path & schedule cache".
     """
     rounds_before = net.rounds
     tri = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
@@ -301,341 +250,81 @@ def process_few_triangles(
     else:
         host_of_vid = np.arange(n, dtype=np.int64)
 
-    if getattr(net, "columnar", False) and not net.strict:
-        _run_columnar(
-            net,
-            inst,
-            tri,
-            vids,
-            num_vids,
-            host_of_vid,
-            use_trees=use_trees,
-            negate=negate,
-            label=label,
-        )
-        return net.rounds - rounds_before
-
+    keyed = net.strict or not getattr(net, "columnar", False)
     rec = getattr(net, "plan_recorder", None)
-    if rec is not None:
+    if keyed and rec is not None:
         # the message path's value movement is per-key dict traffic; the
         # flat-plan compiler only understands the columnar pipeline
         rec.mark_unplannable("message-path execution (strict or non-columnar)")
 
     # ------------------------------------------------------------------ #
-    # Step 1: route A values to virtual hosts
+    # Steps 1-2: route A and B values to the virtual hosts
     # ------------------------------------------------------------------ #
     vid_base = num_vids + 1
-    ai, aj, av, _ = _dedup_triples(tri[:, 0], tri[:, 1], vids, n, vid_base)
-    _route_input_to_hosts(
-        net,
-        n=n,
-        first=ai,
-        second=aj,
-        vids=av,
-        num_vids=num_vids,
-        owner_of_pair=lambda i, j: inst.owner_a[(i, j)],
-        owner_key_prefix="A",
-        value_key_prefix=av_key,
-        host_of_vid=host_of_vid,
-        use_trees=use_trees,
-        label=f"{label}/A",
-    )
-
-    # ------------------------------------------------------------------ #
-    # Step 2: route B values to virtual hosts
-    # ------------------------------------------------------------------ #
-    bj, bk, bv, _ = _dedup_triples(tri[:, 1], tri[:, 2], vids, n, vid_base)
-    _route_input_to_hosts(
-        net,
-        n=n,
-        first=bj,
-        second=bk,
-        vids=bv,
-        num_vids=num_vids,
-        owner_of_pair=lambda j, k: inst.owner_b[(j, k)],
-        owner_key_prefix="B",
-        value_key_prefix=bv_key,
-        host_of_vid=host_of_vid,
-        use_trees=use_trees,
-        label=f"{label}/B",
-    )
+    for name, (c0, c1), owner_of_pair, value_key in (
+        ("A", (0, 1), inst.owner_of_a, av_key),
+        ("B", (1, 2), inst.owner_of_b, bv_key),
+    ):
+        first, second, tv, _ = _dedup_triples(tri[:, c0], tri[:, c1], vids, n, vid_base)
+        _route_to_hosts(
+            net, first, second, host_of_vid[tv], owner_of_pair, name, value_key,
+            n=n, keyed=keyed, use_trees=use_trees, label=f"{label}/{name}",
+        )
 
     # ------------------------------------------------------------------ #
     # Step 3a: local products, pre-aggregated per (vid, i, k) at the host
     # ------------------------------------------------------------------ #
-    zero = sr.scalar(sr.zero)
-    host_col = host_of_vid[vids]
-    for t in range(tri.shape[0]):
-        i, j, k = int(tri[t, 0]), int(tri[t, 1]), int(tri[t, 2])
-        h = int(host_col[t])
-        v = int(vids[t])
-        prod = sr.mul(net.read(h, (av_key, i, j)), net.read(h, (bv_key, j, k)))
+    xi, xk, xv, x_inv = _dedup_triples(tri[:, 0], tri[:, 2], vids, n, vid_base)
+    slot_comp, starts, seg_first, seg_of_slot, seg_counts = _layout(xi, xk, n)
+    slot_host = host_of_vid[xv]
+    p_keys = _keys(keyed, p_key, xv, xi, xk)
+    ps_keys = _keys(keyed, ps_key, xv, xi, xk)
+    if keyed:
+        prods = local_products(
+            net, sr, host_of_vid[vids].tolist(),
+            _keys(True, av_key, tri[:, 0], tri[:, 1]), _keys(True, bv_key, tri[:, 1], tri[:, 2]),
+        )
         if negate:
-            prod = sr.sub(zero, prod)
-        key = (p_key, v, i, k)
-        acc = sr.add(net.mem[h].get(key, zero), prod)
-        net.write(h, key, acc, provenance=((av_key, i, j), (bv_key, j, k)))
+            prods = sr.sub(sr.zeros(prods.size), prods)
+        net.write_many(
+            slot_host.tolist(), p_keys, ordered_fold(sr, prods, x_inv, seed=sr.zeros(xi.size))
+        )
 
     # ------------------------------------------------------------------ #
-    # Step 3b: output triple array (i, k, vid), host -> slot computers
+    # Step 3b: output triple array (i, k, vid), host -> slot computers,
+    # which pre-aggregate their partials per (i, k)
     # ------------------------------------------------------------------ #
-    xi, xk, xv, _ = _dedup_triples(tri[:, 0], tri[:, 2], vids, n, vid_base)
-    num_slots = xi.size
-    slot_comp = _chunked_slot_owners(num_slots, n)
-    src = host_of_vid[xv]
-    dst = slot_comp
-    skeys = [(p_key, int(v), int(i), int(k)) for v, i, k in zip(xv, xi, xk)]
-    dkeys = [(ps_key, int(v), int(i), int(k)) for v, i, k in zip(xv, xi, xk)]
-    net.exchange_arrays(src, dst, skeys, dkeys, label=f"{label}/X-toslots")
-
-    # local pre-aggregation at slot computers: combine partials per (i, k)
-    pair_keys = xi * n + xk
-    for t in range(num_slots):
-        comp = int(slot_comp[t])
-        i, k, v = int(xi[t]), int(xk[t]), int(xv[t])
-        key = (xa_key, i, k)
-        acc = sr.add(net.mem[comp].get(key, zero), net.read(comp, (ps_key, v, i, k)))
-        net.write(comp, key, acc, provenance=((ps_key, v, i, k),))
+    net.exchange_arrays(slot_host, slot_comp, p_keys, ps_keys, label=f"{label}/X-toslots")
+    run_i, run_k = xi[starts], xk[starts]
+    run_keys = _keys(keyed, xa_key, run_i, run_k)
+    if keyed:
+        partials = net.read_many(slot_comp.tolist(), ps_keys, sr.dtype)
+        net.write_many(
+            slot_comp[seg_first].tolist(), _keys(True, xa_key, xi[seg_first], xk[seg_first]),
+            ordered_fold(sr, partials, seg_of_slot, seed=sr.zeros(seg_first.size)),
+        )
 
     # Step 3c: convergecast along runs toward the anchor
-    segs_all, spanning = _spanning_segments(pair_keys, slot_comp)
-    starts = np.flatnonzero(np.concatenate(([True], pair_keys[1:] != pair_keys[:-1])))
-    run_pair = {idx: (int(xi[s]), int(xk[s])) for idx, s in enumerate(starts)}
-
-    def key_of_run(idx):
-        i, k = run_pair[idx]
-        return (xa_key, i, k)
-
-    _collect_along_runs(
-        net, spanning, key_of_run, sr.add, use_trees=use_trees, label=f"{label}/X-collect"
+    _along_runs(
+        net, slot_comp[seg_first], seg_counts, run_keys, sr,
+        collect=True, use_trees=use_trees, label=f"{label}/X-collect",
     )
 
     # Step 3d: anchor -> output owner; owner accumulates into X
-    src, dst, skeys, dkeys = [], [], [], []
-    accs = []
-    for idx, s in enumerate(starts):
-        i, k = run_pair[idx]
-        anchor = int(slot_comp[s])
-        owner = inst.owner_x[(i, k)]
-        src.append(anchor)
-        dst.append(owner)
-        skeys.append((xa_key, i, k))
-        dkeys.append((xin_key, i, k))
-        accs.append((owner, i, k))
-    net.exchange_arrays(np.asarray(src), np.asarray(dst), skeys, dkeys, label=f"{label}/X-deliver")
-    for owner, i, k in accs:
-        key = ("X", i, k)
-        acc = sr.add(net.mem[owner].get(key, zero), net.read(owner, (xin_key, i, k)))
-        net.write(owner, key, acc, provenance=(key, (xin_key, i, k)))
-
-    return net.rounds - rounds_before
-
-
-# ---------------------------------------------------------------------- #
-# Columnar fast path (non-strict): identical phases and round counts,
-# values carried in NumPy planes instead of per-message dict writes
-# ---------------------------------------------------------------------- #
-def _run_starts(pair_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Change flags and run indices of a sorted key array."""
-    change = np.empty(pair_keys.size, dtype=bool)
-    change[0] = True
-    np.not_equal(pair_keys[1:], pair_keys[:-1], out=change[1:])
-    return change, np.cumsum(change) - 1
-
-
-def _segments_arrays(slot_comp: np.ndarray, change: np.ndarray, run_of_slot: np.ndarray):
-    """Vectorized :func:`~repro.model.collectives.segments_from_sorted`:
-    returns ``(seg_flat, starts, counts)`` where segment ``g`` of run ``g``
-    is ``seg_flat[starts[g] : starts[g] + counts[g]]`` — the consecutive
-    distinct computers covering each run."""
-    comp_change = np.empty(slot_comp.size, dtype=bool)
-    comp_change[0] = True
-    np.not_equal(slot_comp[1:], slot_comp[:-1], out=comp_change[1:])
-    keep = change | comp_change
-    seg_flat = slot_comp[keep]
-    seg_run = run_of_slot[keep]
-    counts = np.bincount(seg_run, minlength=int(run_of_slot[-1]) + 1)
-    starts = np.cumsum(counts) - counts
-    return seg_flat, starts.astype(np.int64), counts.astype(np.int64)
-
-
-def _spanning_arrays(seg_flat, starts, counts):
-    """Restrict segment arrays to runs spanning more than one computer, in
-    run order (the order the message path enumerates ``spanning``)."""
-    span = counts > 1
-    return seg_flat, starts[span], counts[span]
-
-
-def _spread_rounds_columnar(net, seg_flat, span_starts, span_lens, *, use_trees, label):
-    """Round accounting of :func:`_spread_along_runs` without value movement
-    (the columnar caller realizes the spread as one array gather)."""
-    if span_lens.size == 0:
-        return
-    if use_trees:
-        for parity in (0, 1):
-            batches = doubling_batches_arrays(
-                seg_flat, span_starts[parity::2], span_lens[parity::2]
-            )
-            for src, dst, _ in batches:
-                net._execute_lockstep_arrays(src, dst, None, None, label=f"{label}/doubling")
-    else:
-        counts = span_lens - 1
-        seg_of = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-        offs = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        src = seg_flat[span_starts[seg_of]]
-        dst = seg_flat[span_starts[seg_of] + 1 + offs]
-        if src.size:
-            net.exchange_columnar(src, dst, label=label)
-
-
-def _collect_rounds_columnar(net, seg_flat, span_starts, span_lens, *, use_trees, label):
-    """Round accounting of :func:`_collect_along_runs` (mirror of
-    :func:`_spread_rounds_columnar`; aggregation happens as a segment sum)."""
-    if span_lens.size == 0:
-        return
-    if use_trees:
-        for parity in (0, 1):
-            batches = halving_batches_arrays(
-                seg_flat, span_starts[parity::2], span_lens[parity::2]
-            )
-            for src, dst, _ in batches:
-                net._execute_lockstep_arrays(src, dst, None, None, label=f"{label}/halving")
-    else:
-        counts = span_lens - 1
-        seg_of = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-        offs = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        src = seg_flat[span_starts[seg_of] + 1 + offs]
-        dst = seg_flat[span_starts[seg_of]]
-        if src.size:
-            net.exchange_columnar(src, dst, label=label)
-
-
-def _route_rounds_columnar(net, owner_of_pair_vec, first, second, vids, host_of_vid, n, *, use_trees, label):
-    """Round accounting of :func:`_route_input_to_hosts`: anchor, spread and
-    to-host phases with bit-identical endpoint batches, no dict traffic."""
-    num_slots = first.size
-    if num_slots == 0:
-        return
-    slot_comp = _chunked_slot_owners(num_slots, n)
-    pair_keys = first * n + second
-    change, run_of_slot = _run_starts(pair_keys)
-    starts = np.flatnonzero(change)
-
-    # phase 1: owner -> anchor, one message per distinct pair
-    owners = owner_of_pair_vec(first[starts], second[starts])
-    net.exchange_columnar(owners, slot_comp[starts], label=f"{label}-anchor")
-
-    # phase 2: spread along runs
-    _spread_rounds_columnar(
-        net,
-        *_spanning_arrays(*_segments_arrays(slot_comp, change, run_of_slot)),
-        use_trees=use_trees,
-        label=f"{label}-spread",
-    )
-
-    # phase 3: slot -> virtual-node host
-    net.exchange_columnar(slot_comp, host_of_vid[vids], label=f"{label}-tohost")
-
-
-def _run_columnar(
-    net: LowBandwidthNetwork,
-    inst: SupportedInstance,
-    tri: np.ndarray,
-    vids: np.ndarray,
-    num_vids: int,
-    host_of_vid: np.ndarray,
-    *,
-    use_trees: bool,
-    negate: bool,
-    label: str,
-) -> None:
-    """Columnar execution of Lemma 3.1 (non-strict networks).
-
-    Every communication phase of the message path is replayed with the
-    same endpoint arrays — same schedules, same round and message counts,
-    identical phase labels — but values travel in NumPy planes: products
-    are computed from the instance's cached value arrays, partial sums are
-    segment sums, and only the final ``("X", i, k)`` accumulation touches
-    the per-computer dict memories (so ``collect_result`` works unchanged).
-    """
-    n = inst.n
-    sr = inst.semiring
-    vid_base = num_vids + 1
-
-    # Steps 1-2: routing round accounting for both input matrices
-    ai, aj, av, _ = _dedup_triples(tri[:, 0], tri[:, 1], vids, n, vid_base)
-    _route_rounds_columnar(
-        net, inst.owner_of_a, ai, aj, av, host_of_vid, n, use_trees=use_trees, label=f"{label}/A"
-    )
-    bj, bk, bv, _ = _dedup_triples(tri[:, 1], tri[:, 2], vids, n, vid_base)
-    _route_rounds_columnar(
-        net, inst.owner_of_b, bj, bk, bv, host_of_vid, n, use_trees=use_trees, label=f"{label}/B"
-    )
-
-    # Step 3a: per-triangle products from the instance value planes
-    prods = sr.mul(
-        inst.a_values_at(tri[:, 0], tri[:, 1]), inst.b_values_at(tri[:, 1], tri[:, 2])
-    )
-    if negate:
-        prods = sr.sub(sr.zeros(prods.size), prods)
-
-    # Step 3b: pre-aggregate per (vid, i, k) slot, host -> slot computers
-    xi, xk, xv, x_inv = _dedup_triples(tri[:, 0], tri[:, 2], vids, n, vid_base)
-    num_slots = xi.size
-    slot_comp = _chunked_slot_owners(num_slots, n)
-    slot_partials = sr.segment_sum(prods, x_inv, num_slots)
-    net.exchange_columnar(host_of_vid[xv], slot_comp, label=f"{label}/X-toslots")
-
-    # Step 3c: aggregate along runs of equal (i, k); rounds via the same
-    # parity-split convergecast trees, values via one segment sum
-    pair_keys = xi * n + xk
-    change, run_of_slot = _run_starts(pair_keys)
-    starts = np.flatnonzero(change)
-    run_totals = sr.segment_sum(slot_partials, run_of_slot, starts.size)
-    _collect_rounds_columnar(
-        net,
-        *_spanning_arrays(*_segments_arrays(slot_comp, change, run_of_slot)),
-        use_trees=use_trees,
-        label=f"{label}/X-collect",
-    )
-
-    # Step 3d: anchor -> output owner; owners accumulate into ("X", i, k)
-    run_i = xi[starts]
-    run_k = xk[starts]
     owners = inst.owner_of_x(run_i, run_k)
-    net.exchange_columnar(slot_comp[starts], owners, label=f"{label}/X-deliver")
-
-    zero = sr.scalar(sr.zero)
-    mem = net.mem
-    sample = net._sample_memory if net.track_memory else None
-    for o, i, k, idx in zip(
-        owners.tolist(), run_i.tolist(), run_k.tolist(), range(starts.size)
-    ):
-        key = ("X", i, k)
-        m = mem[o]
-        m[key] = sr.add(m.get(key, zero), run_totals[idx])
-        if sample is not None:
-            sample(o)
-
-    rec = getattr(net, "plan_recorder", None)
-    if rec is not None:
-        # Everything the value pipeline above did, as flat index arrays:
-        # gather A/B at the triangle endpoints, two ordered segment sums
-        # (slots, then runs), accumulate per-run totals at (run_i, run_k).
-        # The compiler (repro.model.plan) lowers this into payload-plane
-        # gathers so warm replays skip the network entirely.
-        rec.record_stage(
-            tri=tri,
-            x_inv=x_inv,
-            num_slots=num_slots,
-            run_of_slot=run_of_slot,
-            num_runs=int(starts.size),
-            run_i=run_i,
-            run_k=run_k,
-            negate=negate,
-            label=label,
-        )
+    xin_keys = _keys(keyed, xin_key, run_i, run_k)
+    net.exchange_arrays(slot_comp[starts], owners, run_keys, xin_keys, label=f"{label}/X-deliver")
+    owners = owners.tolist()
+    if keyed:
+        totals = net.read_many(owners, xin_keys, sr.dtype)
+    else:
+        fold = StageFold(x_inv, seg_of_slot, seg_counts, use_trees, negate)
+        a = inst.a_values_at(tri[:, 0], tri[:, 1])
+        b = inst.b_values_at(tri[:, 1], tri[:, 2])
+        totals = fold.totals(sr, a[None], b[None])[0]
+        if rec is not None:
+            # the replay-plan compiler (repro.model.plan) lowers this stage
+            # into payload-plane gathers, so warm replays skip the network
+            rec.record_stage(tri=tri, run_i=run_i, run_k=run_k, fold=fold, label=label)
+    accumulate_at_owners(net, sr, owners, _keys(True, "X", run_i, run_k), totals)
+    return net.rounds - rounds_before

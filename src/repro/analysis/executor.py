@@ -469,6 +469,19 @@ def stop_workers(workers: Sequence[dict[str, Any]]) -> None:
             pass
 
 
+class _WorkerReaper:
+    """Kills a sweep's live workers at interpreter exit or SIGTERM (see
+    :func:`repro.analysis.shm.register_cleanup`), before the arena's
+    segments are unlinked; ``workers`` is the engine's live list."""
+
+    def __init__(self, workers: list[dict[str, Any]]) -> None:
+        self.workers = workers
+
+    def close(self) -> None:
+        for w in self.workers:
+            kill_worker(w)
+
+
 class _RetryPolicy:
     """What happens to a failed attempt (see the module docstring); one
     per run, shared by the worker engine and the in-process loop.
@@ -709,8 +722,16 @@ def _execute_shm(
             return None
 
         timeout = math.inf if cell_timeout_s is None else cell_timeout_s
-        workers_live = [spawn() for _ in range(workers)]
+        # died-by-signal cleanup: a SIGTERM'd sweep must still reap its
+        # workers and unlink its segments (the default SIGTERM disposition
+        # runs neither ``finally`` nor atexit).  The registry holds the
+        # reaper weakly; this local keeps it alive for the whole sweep.
+        workers_live: list[dict[str, Any]] = []
+        reaper = _WorkerReaper(workers_live)
+        shm.register_cleanup(reaper)
+        shm.install_sigterm_cleanup()
         try:
+            workers_live.extend(spawn() for _ in range(workers))
             while completed < len(cells):
                 readable = _conn_wait([w["conn"] for w in workers_live], timeout=0.02)
                 for w in workers_live:

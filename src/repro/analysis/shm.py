@@ -137,7 +137,8 @@ _extra_cleanups: "weakref.WeakSet[Any]" = weakref.WeakSet()
 # runs the handler on the same (main) thread
 _cleanup_lock = threading.RLock()
 _prev_sigterm: Any = None
-_sigterm_installed = False
+#: the process that installed the hook (``None``: not installed)
+_sigterm_pid: int | None = None
 
 
 def register_cleanup(obj: Any) -> None:
@@ -165,7 +166,10 @@ def cleanup_all() -> None:
 
 
 def _sigterm_cleanup(signum, frame) -> None:
-    cleanup_all()
+    # a forked worker inherits this handler and a copy of the registry,
+    # but the segments and workers in it are its parent's
+    if os.getpid() == _sigterm_pid:
+        cleanup_all()
     prev = _prev_sigterm
     if callable(prev):
         prev(signum, frame)
@@ -184,8 +188,8 @@ def install_sigterm_cleanup() -> bool:
     handlers — that (and any exotic runtime refusing the call) degrades
     to ``False``, leaving the atexit hook as the cleanup of record.
     """
-    global _prev_sigterm, _sigterm_installed
-    if _sigterm_installed:
+    global _prev_sigterm, _sigterm_pid
+    if _sigterm_pid is not None:
         return True
     try:
         prev = signal.getsignal(signal.SIGTERM)
@@ -193,7 +197,7 @@ def install_sigterm_cleanup() -> bool:
     except (ValueError, OSError, RuntimeError):
         return False
     _prev_sigterm = prev
-    _sigterm_installed = True
+    _sigterm_pid = os.getpid()
     return True
 
 

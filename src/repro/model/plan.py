@@ -9,32 +9,41 @@ but a warm job still re-walks the whole per-round Python pipeline:
 dedup, slot assignment, run boundaries, collective bucketing, phase
 dispatch.  This module removes that too.
 
-A :class:`ReplayPlan` is the columnar Lemma 3.1 value pipeline lowered
-into flat index arrays, compiled once per structure from an observed
-leader run:
+Lemma 3.1 fixes the order in which each output entry's products are
+added: per-slot partials at the virtual hosts, per-computer partials at
+the slot computers, then each run's partials combined along its
+parity-split halving tree (or the anchor's chain).  :class:`StageFold`
+is that arithmetic, written once over ``(B, triangles)`` operand planes;
+the columnar Lemma 3.1 path runs it with ``B = 1`` and replay runs it
+for a whole batch, so both give the per-message path's bits.
+
+A :class:`ReplayPlan` is the columnar Lemma 3.1 pipeline lowered into
+flat index arrays, compiled once per structure from an observed leader
+run:
 
 * per-stage **gather** indices from the A/B payload planes (the hat
   supports in ``tocoo`` order) to the triangle endpoints;
-* the two ordered **segment-sum** maps (triangle → slot, slot → run)
-  and the **scatter** indices from run totals into the X output plane;
+* the stage's :class:`StageFold` (triangle → slot and slot →
+  (run, computer) maps, per-run segment counts, tree or chain) and the
+  **scatter** indices from run totals into the X output plane;
 * the leader's complete bill — rounds, messages, per-phase summary,
   schedule-cache lookups — plus the deterministic triangle-aggregation
   tape, so a replayed job reports byte-identical accounting.
 
 Replay is then :func:`replay_batch`: stack B structurally identical
 jobs' payload planes into one ``(B, nnz)`` array and run each stage's
-gathers and batched segment sums *once* for the whole batch — pure
-NumPy/Numba indexed ops, zero simulator dispatches
-(:func:`repro.model.network.dispatch_count` is the proof), and row
-``b`` of the output is bit-identical to job ``b``'s per-job execution
-because every kernel in the chain preserves per-row element order
-(:meth:`repro.semirings.Semiring.segment_sum_batch`).
+gathers and fold *once* for the whole batch — pure NumPy/Numba indexed
+ops, zero simulator dispatches (:func:`repro.model.network.dispatch_count`
+is the proof), and row ``b`` of the output is bit-identical to job
+``b``'s per-job execution because every kernel in the chain preserves
+per-row element order (:meth:`repro.semirings.Semiring.segment_sum_batch`).
 
 Plans persist next to the sharded schedule store — same digest-prefix
-shard directories, ``plans-v1.npz`` files with the schedule store's
+shard directories, ``plans-v2.npz`` files with the schedule store's
 magic/version/atomic-replace/corruption-tolerance discipline — so serve
 workers warm-load plans at spawn and a restarted service replays
-without ever re-walking a structure.
+without ever re-walking a structure.  Version 1 plans summed each run
+linearly, so they are never loaded.
 """
 
 from __future__ import annotations
@@ -46,17 +55,18 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.model.collectives import collective_tape
+from repro.model.collectives import collective_tape, halving_batches_arrays
 
 __all__ = [
     "PLAN_VERSION",
     "PlanUnplannable",
+    "StageFold",
     "ReplayStage",
     "ReplayPlan",
     "PlanRecorder",
@@ -75,7 +85,7 @@ __all__ = [
 ]
 
 #: On-disk plan format version; the loader silently rejects others.
-PLAN_VERSION = 1
+PLAN_VERSION = 2
 
 _PLAN_MAGIC = "repro-plan-store"
 _PLAN_STEM = "plans-v"
@@ -99,7 +109,8 @@ class PlanRecorder:
     """Collects the columnar value-pipeline stages of one multiply run.
 
     Attached as ``net.plan_recorder``; :func:`~repro.algorithms.fewtriangles.process_few_triangles`
-    records one stage per columnar invocation and marks the run
+    records one stage per columnar invocation (its triangles, run
+    endpoints, label and :class:`StageFold`) and marks the run
     unplannable when the per-message path executes instead.
     """
 
@@ -121,18 +132,64 @@ class PlanRecorder:
 # The plan itself
 # --------------------------------------------------------------------- #
 @dataclass
-class ReplayStage:
+class StageFold:
+    """The value arithmetic of one Lemma 3.1 invocation, in the order the
+    algorithm fixes (see :meth:`totals`)."""
+
+    x_inv: np.ndarray  # triangle -> (vid, i, k) slot
+    seg_of_slot: np.ndarray  # slot -> (run, computer) segment
+    seg_counts: np.ndarray  # run -> its number of segments (computers)
+    use_trees: bool
+    negate: bool
+
+    def __post_init__(self) -> None:
+        counts = self.seg_counts
+        self._anchors = np.cumsum(counts) - counts
+        if self.use_trees:
+            # every run's halving tree at once (their positions are disjoint)
+            span = counts > 1
+            self._levels = [
+                (src, dst)
+                for src, dst, _ in halving_batches_arrays(
+                    np.arange(int(counts.sum())), self._anchors[span], counts[span]
+                )
+            ]
+        else:
+            # the anchor adds its run's other partials one at a time
+            self._levels = [
+                (self._anchors[counts > o] + o, self._anchors[counts > o])
+                for o in range(1, int(counts.max(initial=1)))
+            ]
+
+    def totals(self, sr, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per-run totals, ``(B, runs)``, of the operand planes ``a`` and
+        ``b`` (``(B, triangles)``):
+
+        1. multiply the operands, negated if the stage asks for it;
+        2. segment-sum the products by slot;
+        3. segment-sum the slot partials by (run, computer);
+        4. combine each run's partials into its anchor along the halving
+           tree's levels (``dst = add(dst, src)``), or along the anchor's
+           chain when ``use_trees`` is off.
+        """
+        prods = np.asarray(sr.mul(a, b), dtype=sr.dtype)
+        if self.negate:
+            prods = np.asarray(sr.sub(sr.zeros(prods.shape), prods), dtype=sr.dtype)
+        slots = sr.segment_sum_batch(prods, self.x_inv, self.seg_of_slot.size)
+        segs = sr.segment_sum_batch(slots, self.seg_of_slot, int(self.seg_counts.sum()))
+        for src, dst in self._levels:
+            segs[:, dst] = sr.add(segs[:, dst], segs[:, src])
+        return segs[:, self._anchors]
+
+
+@dataclass
+class ReplayStage(StageFold):
     """One Lemma 3.1 invocation as flat index arrays over payload planes."""
 
     a_gather: np.ndarray  # payload-plane positions of A[tri_i, tri_j]
     b_gather: np.ndarray  # payload-plane positions of B[tri_j, tri_k]
-    x_inv: np.ndarray  # triangle -> (vid, i, k) slot (first segment sum)
-    num_slots: int
-    run_of_slot: np.ndarray  # slot -> (i, k) run (second segment sum)
-    num_runs: int
     out_idx: np.ndarray  # run -> position in the X output plane
-    negate: bool = False
-    label: str = "lemma31"
+    label: str
 
 
 @dataclass
@@ -235,17 +292,14 @@ def compile_plan(
         a_keys = tri[:, 0] * inst.a_hat.shape[1] + tri[:, 1]
         b_keys = tri[:, 1] * inst.b_hat.shape[1] + tri[:, 2]
         run_keys = raw["run_i"] * inst.x_hat.shape[1] + raw["run_k"]
+        fold = raw["fold"]
         stages.append(
             ReplayStage(
+                **{f.name: getattr(fold, f.name) for f in fields(StageFold)},
                 a_gather=_gather_into(a_sorted, a_order, a_keys, "A"),
                 b_gather=_gather_into(b_sorted, b_order, b_keys, "B"),
-                x_inv=np.ascontiguousarray(raw["x_inv"], dtype=np.int64),
-                num_slots=int(raw["num_slots"]),
-                run_of_slot=np.ascontiguousarray(raw["run_of_slot"], dtype=np.int64),
-                num_runs=int(raw["num_runs"]),
                 out_idx=_gather_into(x_sorted, x_order, run_keys, "X"),
-                negate=bool(raw.get("negate", False)),
-                label=str(raw.get("label", "lemma31")),
+                label=str(raw["label"]),
             )
         )
 
@@ -317,21 +371,15 @@ def replay_batch(
 
     ``a_stack``/``b_stack`` are ``(B, a_nnz)`` / ``(B, b_nnz)``; returns
     the ``(B, x_nnz)`` output plane aligned with ``plan.x_row/x_col``.
-    Row ``b`` is bit-identical to the columnar per-job pipeline on job
-    ``b``: same multiply, same ordered segment sums, same ``sr.add``
-    accumulation from semiring zeros (which matters for ``-0.0``).
+    Row ``b`` is bit-identical to the per-job run of job ``b``: the same
+    :meth:`StageFold.totals` the columnar path calls, then the same
+    ``sr.add`` accumulation from semiring zeros (which matters for
+    ``-0.0``).
     """
-    B = int(a_stack.shape[0])
-    out = sr.zeros((B, plan.x_nnz))
+    out = sr.zeros((int(a_stack.shape[0]), plan.x_nnz))
     for st in plan.stages:
-        prods = np.asarray(
-            sr.mul(a_stack[:, st.a_gather], b_stack[:, st.b_gather]), dtype=sr.dtype
-        )
-        if st.negate:
-            prods = np.asarray(sr.sub(sr.zeros(prods.shape), prods), dtype=sr.dtype)
-        slot_partials = sr.segment_sum_batch(prods, st.x_inv, st.num_slots)
-        run_totals = sr.segment_sum_batch(slot_partials, st.run_of_slot, st.num_runs)
-        out[:, st.out_idx] = sr.add(out[:, st.out_idx], run_totals)
+        totals = st.totals(sr, a_stack[:, st.a_gather], b_stack[:, st.b_gather])
+        out[:, st.out_idx] = sr.add(out[:, st.out_idx], totals)
     return out
 
 
@@ -509,8 +557,8 @@ def _plan_arrays(key: tuple, plan: ReplayPlan) -> dict:
         "b_nnz": plan.b_nnz,
         "x_nnz": plan.x_nnz,
         "stages": [
-            {"num_slots": st.num_slots, "num_runs": st.num_runs,
-             "negate": bool(st.negate), "label": st.label}
+            {"use_trees": bool(st.use_trees), "negate": bool(st.negate),
+             "label": st.label}
             for st in plan.stages
         ],
     }
@@ -523,7 +571,7 @@ def _plan_arrays(key: tuple, plan: ReplayPlan) -> dict:
     for j, st in enumerate(plan.stages):
         for part, arr in (
             ("ag", st.a_gather), ("bg", st.b_gather), ("xi", st.x_inv),
-            ("ro", st.run_of_slot), ("ou", st.out_idx),
+            ("ss", st.seg_of_slot), ("sc", st.seg_counts), ("ou", st.out_idx),
         ):
             out[f"p_{kd}_s{j}_{part}"] = np.ascontiguousarray(arr, dtype=np.int64)
     return out
@@ -539,16 +587,20 @@ def _plan_from_group(fields: dict) -> tuple[tuple, ReplayPlan]:
     shape = tuple(int(s) for s in meta["shape"])
     stages = []
     for j, st in enumerate(meta["stages"]):
+        arr = {
+            part: np.asarray(fields[f"s{j}_{part}"], dtype=np.int64)
+            for part in ("xi", "ss", "sc", "ag", "bg", "ou")
+        }
         stages.append(
             ReplayStage(
-                a_gather=np.asarray(fields[f"s{j}_ag"], dtype=np.int64),
-                b_gather=np.asarray(fields[f"s{j}_bg"], dtype=np.int64),
-                x_inv=np.asarray(fields[f"s{j}_xi"], dtype=np.int64),
-                num_slots=int(st["num_slots"]),
-                run_of_slot=np.asarray(fields[f"s{j}_ro"], dtype=np.int64),
-                num_runs=int(st["num_runs"]),
-                out_idx=np.asarray(fields[f"s{j}_ou"], dtype=np.int64),
+                x_inv=arr["xi"],
+                seg_of_slot=arr["ss"],
+                seg_counts=arr["sc"],
+                use_trees=bool(st["use_trees"]),
                 negate=bool(st["negate"]),
+                a_gather=arr["ag"],
+                b_gather=arr["bg"],
+                out_idx=arr["ou"],
                 label=str(st["label"]),
             )
         )
@@ -678,7 +730,7 @@ def save_plans_sharded(
     max_bytes_per_shard: int = 64 * 1024 * 1024,
 ) -> dict:
     """Write plans across the digest-prefix shard directories the schedule
-    store already uses (``shards/<p>/plans-v1.npz`` next to each shard's
+    store already uses (``shards/<p>/plans-v2.npz`` next to each shard's
     ``schedules-v1.npz``); merges existing shard entries first and skips
     shards the new plans would not change."""
     from repro.model.schedule_cache import SHARD_PREFIX_CHARS

@@ -130,11 +130,7 @@ def run_over_transport(
                 f"drill {drill!r} needs a socket transport (use --transport=tcp)"
             )
         plane.arm_drill(kind=drill, after_step=drill_after, host=drill_host)
-    # Pin the per-message value pipeline on EVERY transport: the columnar
-    # planes are a local-only fast path whose vectorized accumulation can
-    # reorder float sums, and a wire cannot carry them anyway.  With the
-    # pipeline fixed, digests are transport-invariant by construction.
-    net = LowBandwidthNetwork(inst.n, transport=plane, columnar=False)
+    net = LowBandwidthNetwork(inst.n, transport=plane)
     t0 = time.perf_counter()
     try:
         try:

@@ -13,11 +13,15 @@ plan cache counts its economics, and the sharded plan store survives
 round trips, damage, and version skew exactly like the schedule store.
 """
 
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.algorithms.api import multiply
 from repro.model import network as network_mod
+from repro.model.network import LowBandwidthNetwork
 from repro.model.faults import FaultPlan
 from repro.model.plan import (
     PLAN_VERSION,
@@ -312,8 +316,9 @@ def test_plan_store_round_trip(tmp_path):
     assert plan.phases == orig.phases
     assert len(plan.stages) == len(orig.stages)
     for a, b in zip(plan.stages, orig.stages):
-        for fld in ("a_gather", "b_gather", "x_inv", "run_of_slot", "out_idx"):
+        for fld in ("a_gather", "b_gather", "x_inv", "seg_of_slot", "seg_counts", "out_idx"):
             assert np.array_equal(getattr(a, fld), getattr(b, fld))
+        assert (a.use_trees, a.negate, a.label) == (b.use_trees, b.negate, b.label)
 
     # a fresh process that warm-loads this store replays immediately
     plans.clear()
@@ -344,6 +349,38 @@ def test_plan_store_evicts_stale_versions(tmp_path):
     stale.write_bytes(b"old format")
     save_plans(plan_store_path(tmp_path), new)
     assert not stale.exists(), "other-version store file was not evicted"
+
+
+def test_version_one_plan_entry_loads_as_nothing_and_recompiles(tmp_path):
+    """Version 1 plans summed each run linearly: a stored one must never
+    replay.  The next batch recompiles, and its values are the
+    per-message path's."""
+    base = _base_instance(n=16, d=2, seed=37)
+    rng = np.random.default_rng(8)
+    jobs = [Job(tenant="t", instance=revalue(base, rng)) for _ in range(3)]
+    execute_batch(jobs[:1])
+    path = plan_store_path(tmp_path)
+    save_plans(path, default_plan_cache().drain_new_plans())
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    (meta_name,) = [name for name in arrays if name.endswith("_meta")]
+    meta = json.loads(arrays[meta_name].tobytes().decode())
+    meta["version"] = 1
+    arrays[meta_name] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez_compressed(path, **arrays)
+    assert load_plans(path) == {}
+
+    plans = default_plan_cache()
+    plans.clear()
+    default_schedule_cache().clear()
+    plans.merge(load_plans(path))
+    got = execute_batch(jobs)
+    assert got[0].plan_compiled
+    assert all(r.plan_replayed for r in got[1:])
+    for job, r in zip(jobs, got):
+        ref = multiply(job.instance, network=LowBandwidthNetwork(job.instance.n, columnar=False))
+        assert (r.rounds, r.messages) == (ref.rounds, ref.messages)
+        assert r.x.data.tobytes() == sp.csr_matrix(ref.x).data.tobytes()
 
 
 def test_sharded_plan_store_round_trip(tmp_path):

@@ -15,6 +15,7 @@ whose path travels in an environment variable (inherited by workers).
 
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -321,6 +322,127 @@ def test_cleanup_all_closes_live_arenas():
 def test_sigterm_install_is_idempotent_and_chains():
     assert shm.install_sigterm_cleanup()
     assert shm.install_sigterm_cleanup()  # second call is a no-op
+
+
+def _sleep_when_ready(ready):
+    ready.set()
+    time.sleep(30)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+def test_sigterm_to_a_forked_worker_leaves_the_parents_segments():
+    """A worker forked after the hook is installed inherits the handler
+    and a copy of the cleanup registry; a SIGTERM to the worker alone
+    must kill it without unlinking its parent's segments."""
+    import multiprocessing as mp
+
+    assert shm.install_sigterm_cleanup()
+    ctx = mp.get_context("fork")
+    with shm.ShmArena() as arena:
+        seg = arena.create(64)
+        ready = ctx.Event()
+        child = ctx.Process(target=_sleep_when_ready, args=(ready,))
+        child.start()
+        try:
+            assert ready.wait(10)
+            os.kill(child.pid, signal.SIGTERM)
+            child.join(10)
+            assert child.exitcode == -signal.SIGTERM
+            assert seg.name in shm.active_segments()
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join(10)
+
+
+def _wait_gone(pid: int, timeout_s: float = 10.0) -> bool:
+    """Poll until ``pid`` no longer exists (reaped or never ours)."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.1)
+    return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+def test_sigterm_on_live_sweep_leaves_no_segments(tmp_path):
+    """SIGTERM a process in the middle of a shm sweep: the engine's
+    workers must be killed, not orphaned, every segment unlinked, and
+    the process must still die with the SIGTERM status."""
+    import subprocess
+    import sys
+
+    script = tmp_path / "victim.py"
+    script.write_text(
+        """
+import os, time
+import numpy as np
+from repro.analysis import shm
+from repro.analysis.sweeps import run_sweep
+from repro.supported.instance import make_hard_instance
+
+def stall(inst):
+    line = f"WORKER {os.getpid()} {','.join(shm.active_segments())}\\n"
+    os.write(1, line.encode())  # one write: the two workers share the pipe
+    time.sleep(60)  # wait to be orphaned or killed
+
+run_sweep(
+    axis=("d", [2, 3]),
+    instance_factory=lambda d: make_hard_instance(8 * d, d, np.random.default_rng(d)),
+    algorithms={"stall": stall},
+    workers=2,
+    engine="shm",
+)
+"""
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(os.getcwd(), "src"), env.get("PYTHONPATH")])
+    )
+    # stderr to a file: orphaned workers would hold a pipe open for 60 s
+    stderr = tmp_path / "stderr.txt"
+    with open(stderr, "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, str(script)], stdout=subprocess.PIPE, stderr=err, text=True, env=env
+        )
+    worker_pids: list[int] = []
+    try:
+        segment_names: set[str] = set()
+        while len(worker_pids) < 2:
+            line = proc.stdout.readline().strip()
+            assert line.startswith("WORKER"), (line, stderr.read_text())
+            _, pid, segments = line.split(" ")
+            worker_pids.append(int(pid))
+            segment_names |= {s for s in segments.split(",") if s}
+        assert segment_names, "sweep created no segments?"
+
+        proc.send_signal(signal.SIGTERM)
+        rc = proc.wait(timeout=30)
+        assert rc == -signal.SIGTERM  # died *of* SIGTERM, post-cleanup
+
+        leaked = segment_names & set(shm.active_segments())
+        assert not leaked, f"leaked segments after SIGTERM: {leaked}"
+
+        survivors = [pid for pid in worker_pids if not _wait_gone(pid)]
+        assert not survivors, f"workers {survivors} survived SIGTERM"
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        for pid in worker_pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        for name in shm.active_segments():
+            if name.startswith(f"{shm.SEGMENT_PREFIX}-{proc.pid}-"):
+                try:
+                    os.unlink(os.path.join("/dev/shm", name))
+                except OSError:
+                    pass
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
