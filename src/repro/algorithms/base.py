@@ -11,21 +11,37 @@ Every upper-bound algorithm follows the same contract:
 
 :func:`finalize_result` packages that into a :class:`MultiplyResult`.
 
+Keyed or columnar
+-----------------
+A triangle kernel builds its phases' endpoint arrays once.  Words move
+through the per-computer dict memories only when :func:`words_keyed`
+says so — ``net.strict or not net.columnar`` (strict mode, a wire
+transport, fault injection, ``columnar=False``).  Then the phases carry
+dict keys (:func:`key_list`) and each computer runs its local steps on
+what it holds.  Otherwise the phases are charged columnar
+(``src_keys=None``) and the local steps run on value arrays taken from
+the instance's one value table (:meth:`SupportedInstance.a_values_at`),
+which holds exactly the words :meth:`SupportedInstance.deal_into` deals.
+Both paths add the same operands in the same order, so schedules,
+rounds, messages, bills and value bits agree.
+
 Local steps
 -----------
 Between communication phases each computer multiplies and adds the values
 it holds.  The kernels express such a step over *all* computers at once:
 
-* :func:`local_products` gathers every operand from its holder's memory in
-  one pass (:meth:`LowBandwidthNetwork.read_many` — a missing operand
-  raises :class:`~repro.model.network.NetworkError`, so the gather is the
-  possession check) and multiplies them with one ``semiring.mul``;
+* :func:`triangle_products` multiplies every triangle's operands: keyed,
+  through :func:`local_products`, which gathers them from the holders'
+  memories in one pass (:meth:`LowBandwidthNetwork.read_many` — a missing
+  operand raises :class:`~repro.model.network.NetworkError`, so the
+  gather is the possession check); columnar, from the value table;
 * :func:`group_ids` numbers the output keys in first-occurrence order;
 * :func:`ordered_fold` sums each group left to right in element order —
   ``partial = first; partial = add(partial, next)`` — or from a seed, so
   the float order is exactly that of the sequential per-triangle loop;
-* :func:`accumulate_at_owners` folds delivered values into the owners'
-  current entries, seeded from what they hold.
+* :func:`accumulate_into_x` folds delivered values into the owners'
+  ``X`` entries grouped by ``(i, k)``, seeded from what they hold, and
+  :func:`accumulate_at_owners` does the same for arbitrary dict keys.
 """
 
 from __future__ import annotations
@@ -42,10 +58,15 @@ from repro.supported.instance import SupportedInstance
 __all__ = [
     "MultiplyResult",
     "init_outputs",
+    "words_keyed",
+    "key_list",
+    "exclude_from_plan",
     "group_ids",
     "ordered_fold",
     "local_products",
+    "triangle_products",
     "accumulate_at_owners",
+    "accumulate_into_x",
     "finalize_result",
 ]
 
@@ -78,12 +99,33 @@ def init_outputs(net: LowBandwidthNetwork, inst: SupportedInstance) -> None:
     This is support-only local computation (owners know which entries they
     must report) and costs no rounds.
     """
-    owners = inst.owner_x
-    net.write_many(
-        list(owners.values()),
-        [("X", i, k) for (i, k) in owners],
-        inst.semiring.zeros(len(owners)),
-    )
+    rows, cols, owners = inst.entries("X")
+    net.write_many(owners.tolist(), key_list(True, "X", rows, cols), inst.semiring.zeros(rows.size))
+
+
+def words_keyed(net: LowBandwidthNetwork) -> bool:
+    """Do words move through the dict memories on ``net``?  True in strict
+    mode, over a wire transport, under fault injection and with
+    ``columnar=False``; otherwise phases are charged columnar and values
+    travel in arrays."""
+    return net.strict or not net.columnar
+
+
+def key_list(keyed: bool, prefix, *cols: np.ndarray) -> list | None:
+    """Dict keys ``(prefix, *row)`` for the rows of ``cols`` — or ``None``,
+    a columnar phase, when words do not move through dict memories."""
+    if not keyed:
+        return None
+    return [(prefix, *row) for row in zip(*(np.asarray(c).tolist() for c in cols))]
+
+
+def exclude_from_plan(net: LowBandwidthNetwork, kernel: str) -> None:
+    """Keep a run whose values ``kernel`` computed outside the recorded
+    Lemma 3.1 stages out of the replay-plan compiler: an attached
+    :class:`~repro.model.plan.PlanRecorder` is marked unplannable."""
+    rec = getattr(net, "plan_recorder", None)
+    if rec is not None:
+        rec.mark_unplannable(f"{kernel} computes values outside the recorded Lemma 3.1 stages")
 
 
 def group_ids(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,6 +199,29 @@ def local_products(
     return sr.mul(a, b)
 
 
+def triangle_products(
+    net: LowBandwidthNetwork,
+    inst: SupportedInstance,
+    holders: np.ndarray,
+    tri: np.ndarray,
+    *,
+    keyed: bool,
+    prefixes: tuple = ("A", "B"),
+) -> np.ndarray:
+    """``A[i, j] * B[j, k]`` for every triangle row ``(i, j, k)`` of
+    ``tri``, multiplied at ``holders[t]``.  Keyed, the holders read their
+    operands under ``(prefixes[0], i, j)`` and ``(prefixes[1], j, k)``
+    (:func:`local_products`); columnar, the operands come from the
+    instance's value table, the words the keyed path's owners were dealt."""
+    i, j, k = tri[:, 0], tri[:, 1], tri[:, 2]
+    if keyed:
+        return local_products(
+            net, inst.semiring, holders.tolist(),
+            key_list(True, prefixes[0], i, j), key_list(True, prefixes[1], j, k),
+        )
+    return inst.semiring.mul(inst.a_values_at(i, j), inst.b_values_at(j, k))
+
+
 def accumulate_at_owners(
     net: LowBandwidthNetwork,
     sr,
@@ -177,6 +242,27 @@ def accumulate_at_owners(
     out_keys = [k for _, k in index]
     seed = net.read_many(out_owners, out_keys, sr.dtype)
     net.write_many(out_owners, out_keys, ordered_fold(sr, values, ids, seed=seed))
+
+
+def accumulate_into_x(
+    net: LowBandwidthNetwork,
+    inst: SupportedInstance,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    values: np.ndarray,
+) -> None:
+    """Local semiring addition of ``values[t]`` into ``("X", rows[t],
+    cols[t])`` at that entry's owner, in element order, each entry seeded
+    from the value its owner holds.  The entries are grouped by their
+    ``(i, k)`` arrays (an entry's owner is a function of it), so the fold
+    is :func:`accumulate_at_owners`'s without a per-element key."""
+    sr = inst.semiring
+    ids, firsts = group_ids(rows, cols)
+    i, k = rows[firsts], cols[firsts]
+    owners = inst.owner_of_x(i, k).tolist()
+    keys = key_list(True, "X", i, k)
+    seed = net.read_many(owners, keys, sr.dtype)
+    net.write_many(owners, keys, ordered_fold(sr, values, ids, seed=seed))
 
 
 def finalize_result(

@@ -24,6 +24,7 @@ from repro.algorithms.base import (
     accumulate_at_owners,
     finalize_result,
     init_outputs,
+    key_list,
 )
 from repro.algorithms.dense import _block_table, _cell_computer, _grid_partials, _grid_side
 from repro.model.congested_clique import CongestedCliqueNetwork
@@ -70,7 +71,8 @@ def cc_dense_3d(
     cc.route(messages, label="cc3d/B")
 
     # Local multiply (free), pre-aggregated per cell
-    pb, pi, pk, pcell = _grid_partials(lb, sr, inst.triangles.triangles, table, q)
+    pb, pi, pk, pcell, partials = _grid_partials(lb, inst, table, q, keyed=True)
+    lb.write_many(pcell.tolist(), key_list(True, "P3", pb, pi, pk), partials)
 
     # Phase 3: partials -> owners, one word per ordered pair per round
     messages = []

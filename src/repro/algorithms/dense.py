@@ -35,6 +35,13 @@ kernel used by Theorem 4.2's first phase (Lemma 2.1):
     so that the two-phase driver never processes a triangle twice — the
     communication schedule (and hence the round count) is identical to the
     unrestricted dense product.
+
+``dense_3d``, ``sparse_3d`` and ``cluster_solve_3d`` follow the keyed rule
+of :mod:`repro.algorithms.base`: on a columnar network their route and
+aggregate phases are charged with no dict keys, the cells' products come
+from the instance's value table, and ``dense_3d``'s partials that no
+triangle touches are zeros in the cells' value arrays.  ``dense_strassen``
+always moves its words through the dict memories.
 """
 
 from __future__ import annotations
@@ -48,11 +55,16 @@ import numpy as np
 from repro.algorithms.base import (
     MultiplyResult,
     accumulate_at_owners,
+    accumulate_into_x,
+    exclude_from_plan,
     finalize_result,
     group_ids,
     init_outputs,
+    key_list,
     local_products,
     ordered_fold,
+    triangle_products,
+    words_keyed,
 )
 from repro.model.network import LowBandwidthNetwork
 from repro.supported.clustering import Cluster
@@ -105,6 +117,8 @@ def _route_input_3d(
     cell_of,  # vectorized (fb, sb, layer) -> computer
     key_prefix: str,
     label: str,
+    *,
+    keyed: bool,
 ) -> None:
     """Ship each input entry to every grid cell that needs it (one layer
     per replication index).  Batches are built as arrays, entry-major with
@@ -114,10 +128,38 @@ def _route_input_3d(
     src = np.repeat(owners, q)
     layers = np.tile(np.arange(q, dtype=np.int64), rows.size)
     dst = cell_of(np.repeat(first_block, q), np.repeat(second_block, q), layers)
-    keys = [
-        (key_prefix, r, c) for r, c in zip(rows.tolist(), cols.tolist()) for _ in range(q)
-    ]
+    keys = key_list(keyed, key_prefix, np.repeat(rows, q), np.repeat(cols, q))
     net.exchange_arrays(src, dst, keys, label=label)
+
+
+def _aggregate(
+    net: LowBandwidthNetwork,
+    inst: SupportedInstance,
+    cells: np.ndarray,
+    tags: np.ndarray,
+    i: np.ndarray,
+    k: np.ndarray,
+    partials: np.ndarray,
+    *,
+    keyed: bool,
+    prefix: str,
+    label: str,
+) -> None:
+    """Ship partial ``t`` of ``X[i[t], k[t]]`` from ``cells[t]`` to the
+    entry's owner, which adds it into ``X`` in element order.  Keyed, the
+    cell writes it under ``(prefix, tags[t], i[t], k[t])`` and the word
+    moves through the dict memories; columnar, the phase is charged and
+    the owners fold ``partials`` directly."""
+    owners = inst.owner_of_x(i, k)
+    if keyed:
+        skeys = key_list(True, prefix, tags, i, k)
+        dkeys = key_list(True, f"{prefix}in", tags, i, k)
+        net.write_many(cells.tolist(), skeys, partials)
+        net.exchange_arrays(cells, owners, skeys, dkeys, label=label)
+        partials = net.read_many(owners.tolist(), dkeys, inst.semiring.dtype)
+    else:
+        net.exchange_arrays(cells, owners, None, label=label)
+    accumulate_into_x(net, inst, i, k, partials)
 
 
 def _run_3d(
@@ -137,19 +179,17 @@ def _run_3d(
     sr = inst.semiring
     q = _grid_side(n)
     block = _block_table(n, q)
+    keyed = words_keyed(net)
+    exclude_from_plan(net, algorithm)
 
-    # entry arrays in dict insertion order (row-major, matching the sorted
-    # coo layout used by the owner lookups)
-    na, nb = len(inst.owner_a), len(inst.owner_b)
-    a_rows = np.fromiter((i for (i, _) in inst.owner_a), dtype=np.int64, count=na)
-    a_cols = np.fromiter((j for (_, j) in inst.owner_a), dtype=np.int64, count=na)
-    b_rows = np.fromiter((j for (j, _) in inst.owner_b), dtype=np.int64, count=nb)
-    b_cols = np.fromiter((k for (_, k) in inst.owner_b), dtype=np.int64, count=nb)
+    # entry arrays in row-major order (the owner dicts' order)
+    a_rows, a_cols, a_owners = inst.entries("A")
+    b_rows, b_cols, b_owners = inst.entries("B")
 
     # Phase 1: A[i, j] -> cells (block(i), block(j), c) for every c
     _route_input_3d(
         net,
-        inst.owner_of_a(a_rows, a_cols),
+        a_owners,
         a_rows,
         a_cols,
         block[a_rows],
@@ -158,11 +198,12 @@ def _run_3d(
         lambda fb, sb, c: _cell_computer(fb, sb, c, q),
         "A",
         f"{algorithm}/routeA",
+        keyed=keyed,
     )
     # Phase 2: B[j, k] -> cells (a, block(j), block(k)) for every a
     _route_input_3d(
         net,
-        inst.owner_of_b(b_rows, b_cols),
+        b_owners,
         b_rows,
         b_cols,
         block[b_rows],
@@ -171,83 +212,52 @@ def _run_3d(
         lambda fb, sb, a: _cell_computer(a, fb, sb, q),
         "B",
         f"{algorithm}/routeB",
+        keyed=keyed,
     )
 
     # Phase 3: local block products.  Each cell (a, b, c) owns the partial
     # X[I_a, K_c] contribution summed over j in J_b.
-    pb, pi, pk, pcell = _grid_partials(net, sr, inst.triangles.triangles, block, q)
+    pb, pi, pk, pcell, partials = _grid_partials(net, inst, block, q, keyed=keyed)
 
     # Phase 4: partial sums -> output owners (one message per requested
     # entry per middle-block layer that touched it).
     if dense_local:
         # dense accounting: every cell ships its full X block (requested
         # entries) whether or not the partial is nonzero — missing partials
-        # are materialized as zeros locally first
-        nx = len(inst.owner_x)
-        xi = np.fromiter((i for (i, _) in inst.owner_x), dtype=np.int64, count=nx)
-        xk = np.fromiter((k for (_, k) in inst.owner_x), dtype=np.int64, count=nx)
-        owners = np.repeat(np.fromiter(inst.owner_x.values(), dtype=np.int64, count=nx), q)
+        # are zeros in the cell's value array
+        xi, xk, _ = inst.entries("X")
+        nx = xi.size
         xi, xk = np.repeat(xi, q), np.repeat(xk, q)
         layer = np.tile(np.arange(q, dtype=np.int64), nx)
-        cells = _cell_computer(block[xi], layer, block[xk], q)
-        missing = ~np.isin((layer * n + xi) * n + xk, (pb * n + pi) * n + pk)
-        net.write_many(
-            cells[missing].tolist(),
-            [("P3", b, i, k) for b, i, k in zip(
-                layer[missing].tolist(), xi[missing].tolist(), xk[missing].tolist()
-            )],
-            sr.zeros(int(missing.sum())),
-        )
-        pb, pi, pk, pcell = layer, xi, xk, cells
-    else:
-        owners = inst.owner_of_x(pi, pk)
-    triples = list(zip(pb.tolist(), pi.tolist(), pk.tolist()))
-    dkeys = [("P3in", b, i, k) for b, i, k in triples]
-    net.exchange_arrays(
-        pcell,
-        owners,
-        [("P3", b, i, k) for b, i, k in triples],
-        dkeys,
-        label=f"{algorithm}/aggregate",
-    )
-    owners = owners.tolist()
-    accumulate_at_owners(
-        net,
-        sr,
-        owners,
-        [("X", i, k) for _, i, k in triples],
-        net.read_many(owners, dkeys, sr.dtype),
+        codes = (layer * n + xi) * n + xk
+        order = np.argsort(codes)
+        values = sr.zeros(codes.size)
+        values[order[np.searchsorted(codes, (pb * n + pi) * n + pk, sorter=order)]] = partials
+        pb, pi, pk, partials = layer, xi, xk, values
+        pcell = _cell_computer(block[xi], layer, block[xk], q)
+    _aggregate(
+        net, inst, pcell, pb, pi, pk, partials,
+        keyed=keyed, prefix="P3", label=f"{algorithm}/aggregate",
     )
 
     return finalize_result(net, inst, algorithm)
 
 
 def _grid_partials(
-    net: LowBandwidthNetwork, sr, tri: np.ndarray, block: np.ndarray, q: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    net: LowBandwidthNetwork, inst: SupportedInstance, block: np.ndarray, q: int, *, keyed: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The 3D pattern's local step: cell ``(a, b, c)`` multiplies its
-    triangles and pre-aggregates them per ``(b, i, k)``, writing each
-    partial under ``("P3", b, i, k)``.  Returns the partials' ``(b, i, k,
-    cell)`` arrays in first-occurrence (triangle) order."""
+    triangles and pre-aggregates them per ``(b, i, k)``.  Returns the
+    partials' ``(b, i, k, cell)`` arrays in first-occurrence (triangle)
+    order and their values."""
+    tri = inst.triangles.triangles
     ti, tj, tk = tri[:, 0], tri[:, 1], tri[:, 2]
     jb = block[tj]
     cells = _cell_computer(block[ti], jb, block[tk], q)
-    il, jl, kl = ti.tolist(), tj.tolist(), tk.tolist()
-    prods = local_products(
-        net,
-        sr,
-        cells.tolist(),
-        [("A", i, j) for i, j in zip(il, jl)],
-        [("B", j, k) for j, k in zip(jl, kl)],
-    )
+    prods = triangle_products(net, inst, cells, tri, keyed=keyed)
     ids, first = group_ids(jb, ti, tk)
-    pb, pi, pk, pcell = jb[first], ti[first], tk[first], cells[first]
-    net.write_many(
-        pcell.tolist(),
-        [("P3", b, i, k) for b, i, k in zip(pb.tolist(), pi.tolist(), pk.tolist())],
-        ordered_fold(sr, prods, ids, firsts=first),
-    )
-    return pb, pi, pk, pcell
+    partials = ordered_fold(inst.semiring, prods, ids, firsts=first)
+    return jb[first], ti[first], tk[first], cells[first], partials
 
 
 def dense_3d(
@@ -641,9 +651,12 @@ def cluster_solve_3d(
     rounds_before = net.rounds
     sr = inst.semiring
     n = inst.n
+    keyed = words_keyed(net)
+    exclude_from_plan(net, "cluster_solve_3d")
 
-    a_src, a_dst, a_keys = [], [], []
-    b_src, b_dst, b_keys = [], [], []
+    # per input matrix: the route phase's sources, destinations and the
+    # (row, col) of each shipped entry
+    routes = {"A": ([], [], []), "B": ([], [], [])}
     # the local step's triangles, grouped by cell: (cluster, cell, triangle)
     job_cluster, job_cells, job_tris = [], [], []
     for cidx, (cluster, tri) in enumerate(zip(clusters, triangle_arrays)):
@@ -671,57 +684,42 @@ def cluster_solve_3d(
         job_cells.append(cells[order])
         job_tris.append(tri[order])
 
-        # distinct A entries used, replicated across the q layers
+        # distinct A / B entries used, replicated across the q layers
         layers = np.arange(q, dtype=np.int64)[None, :]
-        _, first = np.unique(tri[:, 0] * n + tri[:, 1], return_index=True)
-        cell = _cell_computer(ab[first, None], jb[first, None], layers, q)
-        a_src.append(np.repeat(inst.owner_of_a(tri[first, 0], tri[first, 1]), q))
-        a_dst.append(hosts[cell % hosts.size].ravel())
-        a_keys += [("A", i, j) for i, j in tri[first, :2].tolist() for _ in range(q)]
-        _, first = np.unique(tri[:, 1] * n + tri[:, 2], return_index=True)
-        cell = _cell_computer(layers, jb[first, None], kb[first, None], q)
-        b_src.append(np.repeat(inst.owner_of_b(tri[first, 1], tri[first, 2]), q))
-        b_dst.append(hosts[cell % hosts.size].ravel())
-        b_keys += [("B", j, k) for j, k in tri[first, 1:].tolist() for _ in range(q)]
+        _, fa = np.unique(tri[:, 0] * n + tri[:, 1], return_index=True)
+        _, fb = np.unique(tri[:, 1] * n + tri[:, 2], return_index=True)
+        cell_a = _cell_computer(ab[fa, None], jb[fa, None], layers, q)
+        cell_b = _cell_computer(layers, jb[fb, None], kb[fb, None], q)
+        for name, ent, owner_of, cell in (
+            ("A", tri[fa, :2], inst.owner_of_a, cell_a),
+            ("B", tri[fb, 1:], inst.owner_of_b, cell_b),
+        ):
+            src, dst, entries = routes[name]
+            src.append(np.repeat(owner_of(ent[:, 0], ent[:, 1]), q))
+            dst.append(hosts[cell % hosts.size].ravel())
+            entries.append(np.repeat(ent, q, axis=0))
 
     if not job_tris:
         return 0
 
-    net.exchange_arrays(
-        np.concatenate(a_src), np.concatenate(a_dst), a_keys, label=f"{label}/routeA"
-    )
-    net.exchange_arrays(
-        np.concatenate(b_src), np.concatenate(b_dst), b_keys, label=f"{label}/routeB"
-    )
+    for name, (src, dst, entries) in routes.items():
+        entries = np.concatenate(entries)
+        net.exchange_arrays(
+            np.concatenate(src), np.concatenate(dst),
+            key_list(keyed, name, entries[:, 0], entries[:, 1]), label=f"{label}/route{name}",
+        )
 
     # local multiply restricted to assigned triangles, pre-aggregated per
     # (cluster, cell, i, k)
     tri = np.concatenate(job_tris)
     tc = np.concatenate(job_cells)
-    ti, tj, tk = tri[:, 0].tolist(), tri[:, 1].tolist(), tri[:, 2].tolist()
-    prods = local_products(
-        net,
-        sr,
-        tc.tolist(),
-        [("A", i, j) for i, j in zip(ti, tj)],
-        [("B", j, k) for j, k in zip(tj, tk)],
-    )
+    prods = triangle_products(net, inst, tc, tri, keyed=keyed)
     ids, first = group_ids(np.concatenate(job_cluster), tc, tri[:, 0], tri[:, 2])
-    comps, pi, pk = tc[first], tri[first, 0], tri[first, 2]
-    triples = list(zip(comps.tolist(), pi.tolist(), pk.tolist()))
-    skeys = [("PC", c, i, k) for c, i, k in triples]
-    net.write_many(comps.tolist(), skeys, ordered_fold(sr, prods, ids, firsts=first))
-
-    owners = inst.owner_of_x(pi, pk)
-    dkeys = [("PCin", c, i, k) for c, i, k in triples]
-    net.exchange_arrays(comps, owners, skeys, dkeys, label=f"{label}/aggregate")
-    owners = owners.tolist()
-    accumulate_at_owners(
-        net,
-        sr,
-        owners,
-        [("X", i, k) for _, i, k in triples],
-        net.read_many(owners, dkeys, sr.dtype),
+    comps = tc[first]
+    _aggregate(
+        net, inst, comps, comps, tri[first, 0], tri[first, 2],
+        ordered_fold(sr, prods, ids, firsts=first),
+        keyed=keyed, prefix="PC", label=f"{label}/aggregate",
     )
 
     return net.rounds - rounds_before

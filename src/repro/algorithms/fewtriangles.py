@@ -35,19 +35,28 @@ Ablation switches reproduce the mechanisms being compared:
   the factor the paper's tree routing removes).
 
 There is one pipeline: every phase's endpoint arrays are built once,
-array-native.  When words move through the per-computer dict memories
-(strict mode, a wire transport, fault injection, ``columnar=False``) the
-phases carry keys and each computer runs its local steps on what it
-holds.  Otherwise the phases are charged columnar and the values come
-from :meth:`repro.model.plan.StageFold.totals` — the same additions, in
-the order the convergecast trees fix, so both give the same bits.
+array-native, and the keyed rule of :mod:`repro.algorithms.base` decides
+how words move.  When they move through the per-computer dict memories
+(:func:`~repro.algorithms.base.words_keyed`: strict mode, a wire
+transport, fault injection, ``columnar=False``) the phases carry keys
+and each computer runs its local steps on what it holds.  Otherwise the
+phases are charged columnar and the values come from
+:meth:`repro.model.plan.StageFold.totals` — the same additions, in the
+order the convergecast trees fix, so both give the same bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import accumulate_at_owners, local_products, ordered_fold
+from repro.algorithms.base import (
+    accumulate_at_owners,
+    accumulate_into_x,
+    key_list,
+    ordered_fold,
+    triangle_products,
+    words_keyed,
+)
 from repro.model.collectives import doubling_batches_arrays, halving_batches_arrays
 from repro.model.network import LowBandwidthNetwork
 from repro.model.plan import StageFold
@@ -92,14 +101,6 @@ def _layout(first: np.ndarray, second: np.ndarray, n: int):
     seg_first = np.flatnonzero(seg)
     seg_counts = np.bincount(np.cumsum(change)[seg_first] - 1)
     return slot_comp, np.flatnonzero(change), seg_first, np.cumsum(seg) - 1, seg_counts
-
-
-def _keys(keyed: bool, prefix, *cols):
-    """Dict keys ``(prefix, *row)`` for the rows of ``cols`` — or ``None``,
-    a columnar phase, when words do not move through dict memories."""
-    if not keyed:
-        return None
-    return [(prefix, *row) for row in zip(*(c.tolist() for c in cols))]
 
 
 def _along_runs(net, seg_comp, seg_counts, run_keys, sr=None, *, collect, use_trees, label):
@@ -158,9 +159,9 @@ def _route_to_hosts(
     """
     slot_comp, starts, seg_first, _, seg_counts = _layout(first, second, n)
     f, g = first[starts], second[starts]
-    run_keys = _keys(keyed, value_key, f, g)
+    run_keys = key_list(keyed, value_key, f, g)
     net.exchange_arrays(
-        owner_of_pair(f, g), slot_comp[starts], _keys(keyed, owner_key, f, g), run_keys,
+        owner_of_pair(f, g), slot_comp[starts], key_list(keyed, owner_key, f, g), run_keys,
         label=f"{label}-anchor",
     )
     _along_runs(
@@ -168,7 +169,7 @@ def _route_to_hosts(
         collect=False, use_trees=use_trees, label=f"{label}-spread",
     )
     net.exchange_arrays(
-        slot_comp, host, _keys(keyed, value_key, first, second), label=f"{label}-tohost"
+        slot_comp, host, key_list(keyed, value_key, first, second), label=f"{label}-tohost"
     )
 
 
@@ -250,7 +251,7 @@ def process_few_triangles(
     else:
         host_of_vid = np.arange(n, dtype=np.int64)
 
-    keyed = net.strict or not getattr(net, "columnar", False)
+    keyed = words_keyed(net)
     rec = getattr(net, "plan_recorder", None)
     if keyed and rec is not None:
         # the message path's value movement is per-key dict traffic; the
@@ -277,12 +278,11 @@ def process_few_triangles(
     xi, xk, xv, x_inv = _dedup_triples(tri[:, 0], tri[:, 2], vids, n, vid_base)
     slot_comp, starts, seg_first, seg_of_slot, seg_counts = _layout(xi, xk, n)
     slot_host = host_of_vid[xv]
-    p_keys = _keys(keyed, p_key, xv, xi, xk)
-    ps_keys = _keys(keyed, ps_key, xv, xi, xk)
+    p_keys = key_list(keyed, p_key, xv, xi, xk)
+    ps_keys = key_list(keyed, ps_key, xv, xi, xk)
     if keyed:
-        prods = local_products(
-            net, sr, host_of_vid[vids].tolist(),
-            _keys(True, av_key, tri[:, 0], tri[:, 1]), _keys(True, bv_key, tri[:, 1], tri[:, 2]),
+        prods = triangle_products(
+            net, inst, host_of_vid[vids], tri, keyed=True, prefixes=(av_key, bv_key)
         )
         if negate:
             prods = sr.sub(sr.zeros(prods.size), prods)
@@ -296,11 +296,11 @@ def process_few_triangles(
     # ------------------------------------------------------------------ #
     net.exchange_arrays(slot_host, slot_comp, p_keys, ps_keys, label=f"{label}/X-toslots")
     run_i, run_k = xi[starts], xk[starts]
-    run_keys = _keys(keyed, xa_key, run_i, run_k)
+    run_keys = key_list(keyed, xa_key, run_i, run_k)
     if keyed:
         partials = net.read_many(slot_comp.tolist(), ps_keys, sr.dtype)
         net.write_many(
-            slot_comp[seg_first].tolist(), _keys(True, xa_key, xi[seg_first], xk[seg_first]),
+            slot_comp[seg_first].tolist(), key_list(True, xa_key, xi[seg_first], xk[seg_first]),
             ordered_fold(sr, partials, seg_of_slot, seed=sr.zeros(seg_first.size)),
         )
 
@@ -312,11 +312,10 @@ def process_few_triangles(
 
     # Step 3d: anchor -> output owner; owner accumulates into X
     owners = inst.owner_of_x(run_i, run_k)
-    xin_keys = _keys(keyed, xin_key, run_i, run_k)
+    xin_keys = key_list(keyed, xin_key, run_i, run_k)
     net.exchange_arrays(slot_comp[starts], owners, run_keys, xin_keys, label=f"{label}/X-deliver")
-    owners = owners.tolist()
     if keyed:
-        totals = net.read_many(owners, xin_keys, sr.dtype)
+        totals = net.read_many(owners.tolist(), xin_keys, sr.dtype)
     else:
         fold = StageFold(x_inv, seg_of_slot, seg_counts, use_trees, negate)
         a = inst.a_values_at(tri[:, 0], tri[:, 1])
@@ -326,5 +325,5 @@ def process_few_triangles(
             # the replay-plan compiler (repro.model.plan) lowers this stage
             # into payload-plane gathers, so warm replays skip the network
             rec.record_stage(tri=tri, run_i=run_i, run_k=run_k, fold=fold, label=label)
-    accumulate_at_owners(net, sr, owners, _keys(True, "X", run_i, run_k), totals)
+    accumulate_into_x(net, inst, run_i, run_k, totals)
     return net.rounds - rounds_before

@@ -15,6 +15,11 @@
     trivial bound the paper's Theorem 4.2 improves on.  This is also the
     ablation baseline "Lemma 3.1 without virtual nodes and without trees":
     its cost degrades to ``O(max_v t(v))`` on unbalanced instances.
+
+``naive_triangles`` follows the keyed rule of :mod:`repro.algorithms.base`:
+on a columnar network its routing phases are charged with no dict keys
+and the owners' products come from the instance's value table;
+``gather_all`` always moves its words through the dict memories.
 """
 
 from __future__ import annotations
@@ -23,12 +28,16 @@ import numpy as np
 
 from repro.algorithms.base import (
     MultiplyResult,
-    accumulate_at_owners,
+    accumulate_into_x,
+    exclude_from_plan,
     finalize_result,
     group_ids,
     init_outputs,
+    key_list,
     local_products,
     ordered_fold,
+    triangle_products,
+    words_keyed,
 )
 from repro.model.network import LowBandwidthNetwork
 from repro.supported.instance import SupportedInstance
@@ -45,19 +54,13 @@ def gather_all(
     inst.deal_into(net)
     init_outputs(net, inst)
 
-    # Phase 1: gather all of A and B at computer 0.  Entry order follows
-    # the owner dicts (row-major), matching the historical per-item loop.
-    na, nb = len(inst.owner_a), len(inst.owner_b)
-    a_rows = np.fromiter((i for (i, _) in inst.owner_a), dtype=np.int64, count=na)
-    a_cols = np.fromiter((j for (_, j) in inst.owner_a), dtype=np.int64, count=na)
-    b_rows = np.fromiter((j for (j, _) in inst.owner_b), dtype=np.int64, count=nb)
-    b_cols = np.fromiter((k for (_, k) in inst.owner_b), dtype=np.int64, count=nb)
-    src = np.concatenate(
-        [inst.owner_of_a(a_rows, a_cols), inst.owner_of_b(b_rows, b_cols)]
-    )
-    dst = np.zeros(na + nb, dtype=np.int64)
-    keys = [("A", i, j) for i, j in zip(a_rows.tolist(), a_cols.tolist())]
-    keys += [("B", j, k) for j, k in zip(b_rows.tolist(), b_cols.tolist())]
+    # Phase 1: gather all of A and B at computer 0.  Entry order is
+    # row-major (the owner dicts' order), matching the historical loop.
+    a_rows, a_cols, a_owners = inst.entries("A")
+    b_rows, b_cols, b_owners = inst.entries("B")
+    src = np.concatenate([a_owners, b_owners])
+    dst = np.zeros(src.size, dtype=np.int64)
+    keys = key_list(True, "A", a_rows, a_cols) + key_list(True, "B", b_rows, b_cols)
     net.exchange_arrays(src, dst, keys, label="gather")
 
     # Phase 2: computer 0 multiplies locally (free local computation).
@@ -105,37 +108,30 @@ def naive_triangles(
     inst.deal_into(net)
     init_outputs(net, inst)
 
-    sr = inst.semiring
     tri = inst.triangles.triangles
     if tri.shape[0] == 0:
         return finalize_result(net, inst, "naive_triangles")
 
-    xo_arr = inst.owner_of_x(tri[:, 0], tri[:, 2])
-    xo = xo_arr.tolist()
-    ti, tj, tk = (tri[:, c].tolist() for c in range(3))
+    keyed = words_keyed(net)
+    exclude_from_plan(net, "naive_triangles")
+    xo = inst.owner_of_x(tri[:, 0], tri[:, 2])
 
-    # Route A values to the X owner of each triangle.  Deduplicate: the X
-    # owner needs each distinct A entry only once.  First-occurrence order
+    # Route A and B values to the X owner of each triangle.  Deduplicate:
+    # the X owner needs each distinct entry only once.  First-occurrence order
     # (in triangle order) is load-bearing — it fixes the message order and
     # hence the greedy schedule.
-    _, first = group_ids(xo_arr, tri[:, 0], tri[:, 1])
-    keys = [("A", ti[t], tj[t]) for t in first.tolist()]
-    src = inst.owner_of_a(tri[first, 0], tri[first, 1])
-    net.exchange_arrays(src, xo_arr[first], keys, label="routeA")
-
-    _, first = group_ids(xo_arr, tri[:, 1], tri[:, 2])
-    keys = [("B", tj[t], tk[t]) for t in first.tolist()]
-    src = inst.owner_of_b(tri[first, 1], tri[first, 2])
-    net.exchange_arrays(src, xo_arr[first], keys, label="routeB")
+    for name, (c0, c1), owner_of in (
+        ("A", (0, 1), inst.owner_of_a),
+        ("B", (1, 2), inst.owner_of_b),
+    ):
+        _, first = group_ids(xo, tri[:, c0], tri[:, c1])
+        rows, cols = tri[first, c0], tri[first, c1]
+        net.exchange_arrays(
+            owner_of(rows, cols), xo[first], key_list(keyed, name, rows, cols), label=f"route{name}"
+        )
 
     # Local processing at the X owners, in triangle order.
-    prods = local_products(
-        net,
-        sr,
-        xo,
-        [("A", i, j) for i, j in zip(ti, tj)],
-        [("B", j, k) for j, k in zip(tj, tk)],
-    )
-    accumulate_at_owners(net, sr, xo, [("X", i, k) for i, k in zip(ti, tk)], prods)
+    prods = triangle_products(net, inst, xo, tri, keyed=keyed)
+    accumulate_into_x(net, inst, tri[:, 0], tri[:, 2], prods)
 
     return finalize_result(net, inst, "naive_triangles")

@@ -29,7 +29,7 @@ from repro.algorithms.base import MultiplyResult, finalize_result, init_outputs
 from repro.algorithms.dense import cluster_solve_3d
 from repro.algorithms.fewtriangles import default_kappa, process_few_triangles
 from repro.model.network import LowBandwidthNetwork
-from repro.supported.clustering import extract_clustering
+from repro.supported.clustering import cluster_labels, extract_clustering
 from repro.supported.instance import SupportedInstance
 from repro.supported.triangles import TriangleSet
 
@@ -296,10 +296,14 @@ def multiply_two_phase(
                 if removed == 0:
                     break
             else:
-                triangle_arrays = [
-                    remaining[taken & tset.induced_by(c.i_set, c.j_set, c.k_set)]
-                    for c in clusters
-                ]
+                # each cluster's induced triangles, in triangle order
+                labels = cluster_labels(tset, clusters)
+                rows = np.flatnonzero(taken)
+                rows = rows[np.argsort(labels[rows], kind="stable")]
+                triangle_arrays = np.split(
+                    remaining[rows],
+                    np.cumsum(np.bincount(labels[rows], minlength=len(clusters)))[:-1],
+                )
                 cluster_solve_3d(net, inst, clusters, triangle_arrays, label="phase1")
             wave_rounds = net.rounds - before
             stats.waves += 1

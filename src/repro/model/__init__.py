@@ -27,7 +27,6 @@ from repro.model.collectives import (
     all_reduce,
     broadcast_tree_rounds,
     prefix_scan,
-    segments_from_sorted,
 )
 from repro.model.congested_clique import CongestedCliqueNetwork
 from repro.model.schedule_cache import (
@@ -45,7 +44,6 @@ __all__ = [
     "schedule_makespan",
     "validate_schedule",
     "broadcast_tree_rounds",
-    "segments_from_sorted",
     "all_reduce",
     "prefix_scan",
     "CongestedCliqueNetwork",

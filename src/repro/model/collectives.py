@@ -18,7 +18,6 @@ from repro.model import _kernels
 
 __all__ = [
     "broadcast_tree_rounds",
-    "segments_from_sorted",
     "run_boundaries",
     "doubling_batches",
     "doubling_batches_arrays",
@@ -203,29 +202,3 @@ def collective_tape(
         rounds += 1
         messages += int(src.size)
     return rounds, messages
-
-
-def segments_from_sorted(
-    sorted_keys: np.ndarray, slot_to_computer: np.ndarray
-) -> list[np.ndarray]:
-    """Group *array slots* holding the same key into computer segments.
-
-    ``slot_to_computer[s]`` is the computer responsible for slot ``s`` of a
-    sorted triple array.  Within one run of equal keys, several consecutive
-    slots may live on the same computer; the segment lists each computer
-    once (a computer spreads a value to its own slots locally for free).
-
-    Returns a list of integer arrays; the first entry of each is the anchor
-    computer ``q(i, j)`` of the run (paper, proof of Lemma 3.1).
-    """
-    slot_to_computer = np.asarray(slot_to_computer, dtype=np.int64)
-    starts, lengths = run_boundaries(sorted_keys)
-    segments: list[np.ndarray] = []
-    for s, l in zip(starts, lengths):
-        comps = slot_to_computer[s : s + l]
-        # consecutive unique (slots are sorted, computers are monotone)
-        keep = np.empty(comps.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = comps[1:] != comps[:-1]
-        segments.append(comps[keep])
-    return segments

@@ -26,6 +26,7 @@ __all__ = [
     "find_dense_cluster",
     "find_dense_cluster_sampled",
     "extract_clustering",
+    "cluster_labels",
     "partition_lemma_4_9",
     "partition_lemma_4_11",
 ]
@@ -55,6 +56,64 @@ def _top_d(counts: np.ndarray, d: int, allowed: np.ndarray) -> np.ndarray:
     return picks.astype(np.int64)
 
 
+def _members(nodes: np.ndarray, n: int) -> np.ndarray:
+    """Boolean membership table of ``nodes`` over ``[0, n)``."""
+    sel = np.zeros(n, dtype=bool)
+    sel[nodes] = True
+    return sel
+
+
+def _grow_cluster(
+    ci: np.ndarray,
+    cj: np.ndarray,
+    ck: np.ndarray,
+    n: int,
+    d: int,
+    allowed_i: np.ndarray,
+    allowed_j: np.ndarray,
+    allowed_k: np.ndarray,
+    refinement_rounds: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """:func:`find_dense_cluster`'s greedy on the columns of the live
+    triangles (every node allowed): the unsorted ``(i_set, j_set,
+    k_set)``, or ``None``.  Each pick reads only node counts, so the
+    order of the rows does not matter."""
+
+    def top(col, rows, allowed):
+        return _top_d(np.bincount(col[rows], minlength=n), d, allowed)
+
+    j_counts = np.bincount(cj, minlength=n)
+    j_counts[~allowed_j] = 0
+    seed_j = int(np.argmax(j_counts))
+    if j_counts[seed_j] == 0:
+        return None
+    seeded = cj == seed_j
+
+    i_set = top(ci, seeded, allowed_i)
+    in_i = _members(i_set, n)[ci]
+    k_set = top(ck, seeded & in_i, allowed_k)
+    cand = in_i & _members(k_set, n)[ck]
+    j_set = top(cj, cand, allowed_j) if cand.any() else np.asarray([seed_j], dtype=np.int64)
+
+    for _ in range(refinement_rounds):
+        # re-pick each side against the other two
+        in_k = _members(k_set, n)[ck]
+        cand = _members(j_set, n)[cj] & in_k
+        if cand.any():
+            i_set = top(ci, cand, allowed_i)
+        in_i = _members(i_set, n)[ci]
+        cand = in_i & in_k
+        if cand.any():
+            j_set = top(cj, cand, allowed_j)
+        cand = in_i & _members(j_set, n)[cj]
+        if cand.any():
+            k_set = top(ck, cand, allowed_k)
+
+    if i_set.size == 0 or j_set.size == 0 or k_set.size == 0:
+        return None
+    return i_set, j_set, k_set
+
+
 def find_dense_cluster(
     tri: TriangleSet,
     d: int,
@@ -70,6 +129,9 @@ def find_dense_cluster(
     alternately refines the I/K/J choices against the triangles induced so
     far.  Returns the cluster and the boolean mask of induced triangles,
     or ``None`` when no triangle survives.
+
+    Seeds from the single busiest middle node, then grows the cluster
+    around it — a global top-d pick would mix unrelated dense spots.
     """
     if len(tri) == 0:
         return None
@@ -82,56 +144,12 @@ def find_dense_cluster(
     live = allowed_i[t[:, 0]] & allowed_j[t[:, 1]] & allowed_k[t[:, 2]]
     if not live.any():
         return None
-    tt = t[live]
-
-    # Seed from the single busiest middle node, then grow the cluster
-    # around it — a global top-d pick would mix unrelated dense spots.
-    j_counts = np.bincount(tt[:, 1], minlength=n)
-    j_counts[~allowed_j] = 0
-    seed_j = int(np.argmax(j_counts))
-    if j_counts[seed_j] == 0:
-        return None
-    seeded = tt[tt[:, 1] == seed_j]
-
-    i_set = _top_d(np.bincount(seeded[:, 0], minlength=n), d, allowed_i)
-    sel_i = np.zeros(n, dtype=bool)
-    sel_i[i_set] = True
-    cur = seeded[sel_i[seeded[:, 0]]]
-    k_counts = (
-        np.bincount(cur[:, 2], minlength=n) if cur.size else np.zeros(n, dtype=np.int64)
+    sets = _grow_cluster(
+        *t[live].T, n, d, allowed_i, allowed_j, allowed_k, refinement_rounds
     )
-    k_set = _top_d(k_counts, d, allowed_k)
-    sel_k = np.zeros(n, dtype=bool)
-    sel_k[k_set] = True
-    cand = tt[sel_i[tt[:, 0]] & sel_k[tt[:, 2]]]
-    if cand.size:
-        j_set = _top_d(np.bincount(cand[:, 1], minlength=n), d, allowed_j)
-    else:
-        j_set = np.asarray([seed_j], dtype=np.int64)
-
-    for _ in range(refinement_rounds):
-        # re-pick each side against the other two
-        sel_j = np.zeros(n, dtype=bool)
-        sel_j[j_set] = True
-        sel_k = np.zeros(n, dtype=bool)
-        sel_k[k_set] = True
-        cand = tt[sel_j[tt[:, 1]] & sel_k[tt[:, 2]]]
-        if cand.size:
-            i_set = _top_d(np.bincount(cand[:, 0], minlength=n), d, allowed_i)
-        sel_i = np.zeros(n, dtype=bool)
-        sel_i[i_set] = True
-        cand = tt[sel_i[tt[:, 0]] & sel_k[tt[:, 2]]]
-        if cand.size:
-            j_set = _top_d(np.bincount(cand[:, 1], minlength=n), d, allowed_j)
-        sel_j = np.zeros(n, dtype=bool)
-        sel_j[j_set] = True
-        cand = tt[sel_i[tt[:, 0]] & sel_j[tt[:, 1]]]
-        if cand.size:
-            k_set = _top_d(np.bincount(cand[:, 2], minlength=n), d, allowed_k)
-
-    if i_set.size == 0 or j_set.size == 0 or k_set.size == 0:
+    if sets is None:
         return None
-    cluster = Cluster(np.sort(i_set), np.sort(j_set), np.sort(k_set))
+    cluster = Cluster(*(np.sort(s) for s in sets))
     mask = tri.induced_by(cluster.i_set, cluster.j_set, cluster.k_set)
     if not mask.any():
         return None
@@ -275,38 +293,60 @@ def extract_clustering(
 
     Returns the clusters and the combined boolean mask (over ``tri``) of
     the triangles they process.
+
+    Only triangles whose three nodes are all still allowed can join a
+    later cluster, so the live triangles are kept as three contiguous
+    columns, shrunk by the allowed masks after each cluster; a finder
+    sees just those rows, which gives it the same counts as the whole
+    remaining set.  A triangle is taken iff its three nodes belong to
+    the same cluster.
     """
     n = tri.n
-    allowed_i = np.ones(n, dtype=bool)
-    allowed_j = np.ones(n, dtype=bool)
-    allowed_k = np.ones(n, dtype=bool)
-    taken = np.zeros(len(tri), dtype=bool)
+    allowed = np.ones((3, n), dtype=bool)
+    live = tri.triangles.T.copy()  # rows i, j, k of the live triangles
     clusters: list[Cluster] = []
 
-    while True:
-        remaining = tri.subset(~taken)
-        if len(remaining) == 0:
+    while live.shape[1]:
+        if finder is None:
+            sets = _grow_cluster(*live, n, d, *allowed, refinement_rounds=2)
+            cluster = None if sets is None else Cluster(*(np.sort(s) for s in sets))
+        else:
+            found = finder(
+                TriangleSet(live.T, n),
+                d,
+                allowed_i=allowed[0],
+                allowed_j=allowed[1],
+                allowed_k=allowed[2],
+            )
+            cluster = None if found is None else found[0]
+        if cluster is None:
             break
-        fn = finder if finder is not None else find_dense_cluster
-        found = fn(
-            remaining,
-            d,
-            allowed_i=allowed_i,
-            allowed_j=allowed_j,
-            allowed_k=allowed_k,
-        )
-        if found is None:
-            break
-        cluster, _ = found
-        mask_full = (
-            tri.induced_by(cluster.i_set, cluster.j_set, cluster.k_set) & ~taken
-        )
-        if int(mask_full.sum()) < min_triangles:
+        hit = [
+            _members(nodes, n)[col]
+            for nodes, col in zip((cluster.i_set, cluster.j_set, cluster.k_set), live)
+        ]
+        inside = int(np.count_nonzero(hit[0] & hit[1] & hit[2]))
+        if inside == 0 or inside < min_triangles:
             break
         clusters.append(cluster)
-        taken |= mask_full
-        allowed_i[cluster.i_set] = False
-        allowed_j[cluster.j_set] = False
-        allowed_k[cluster.k_set] = False
+        allowed[0, cluster.i_set] = False
+        allowed[1, cluster.j_set] = False
+        allowed[2, cluster.k_set] = False
+        # a live triangle stays live iff none of its nodes joined the cluster
+        live = live[:, ~(hit[0] | hit[1] | hit[2])]
 
-    return clusters, taken
+    return clusters, cluster_labels(tri, clusters) >= 0
+
+
+def cluster_labels(tri: TriangleSet, clusters: list[Cluster]) -> np.ndarray:
+    """Index of the cluster inducing each triangle of ``tri`` (``-1`` when
+    none does), for pairwise-disjoint ``clusters``: a triangle belongs to
+    cluster ``c`` iff its three nodes do."""
+    label = np.full((3, tri.n), -1, dtype=np.int64)
+    for c, cluster in enumerate(clusters):
+        label[0, cluster.i_set] = c
+        label[1, cluster.j_set] = c
+        label[2, cluster.k_set] = c
+    t = tri.triangles
+    c = label[0][t[:, 0]]
+    return np.where((c == label[1][t[:, 1]]) & (c == label[2][t[:, 2]]), c, -1)

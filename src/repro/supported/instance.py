@@ -37,31 +37,27 @@ def lookup_values(mat: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray, sr: Se
     """Vectorized lookup of ``mat[rows[t], cols[t]]`` (zero when absent).
 
     Works on the sorted key array of the matrix's nonzeros — O((nnz + q) log
-    nnz) instead of per-element sparse ``__getitem__``.
+    nnz) instead of per-element sparse ``__getitem__``.  A position stored
+    more than once takes the value stored last (see
+    :func:`_sorted_value_arrays`).
     """
-    coo = sp.coo_matrix(mat)
-    n_cols = mat.shape[1]
-    keys = coo.row.astype(np.int64) * n_cols + coo.col.astype(np.int64)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    sorted_vals = np.asarray(coo.data, dtype=sr.dtype)[order]
-    q = np.asarray(rows, dtype=np.int64) * n_cols + np.asarray(cols, dtype=np.int64)
-    pos = np.searchsorted(sorted_keys, q)
-    pos_clipped = np.minimum(pos, max(sorted_keys.size - 1, 0))
-    out = sr.zeros(q.size)
-    if sorted_keys.size:
-        hit = sorted_keys[pos_clipped] == q
-        out[hit] = sorted_vals[pos_clipped[hit]]
-    return out
+    return _lookup_sorted(_sorted_value_arrays(mat, sr), rows, cols, mat.shape[1], sr)
 
 
 def _sorted_value_arrays(mat: sp.csr_matrix, sr: Semiring):
-    """Sorted nonzero keys and aligned values of a sparse matrix (the cached
-    backing store for the vectorized value lookups)."""
+    """The one value table of a sparse matrix: its distinct stored keys
+    ``row * n_cols + col``, sorted, and each key's value.  A key stored
+    more than once (non-canonical CSR) takes the value stored last, as a
+    dict assignment would — the rule every reader shares: dealing
+    (:meth:`SupportedInstance.deal_into`), the columnar kernels'
+    :meth:`SupportedInstance.a_values_at` and :func:`lookup_values`."""
     coo = sp.coo_matrix(mat)
     keys = coo.row.astype(np.int64) * mat.shape[1] + coo.col.astype(np.int64)
-    order = np.argsort(keys)
-    return keys[order], np.asarray(coo.data, dtype=sr.dtype)[order]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    last = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+    return keys[last], np.asarray(coo.data, dtype=sr.dtype)[order[last]]
 
 
 def _lookup_sorted(arrays, rows, cols, n_cols: int, sr: Semiring) -> np.ndarray:
@@ -188,6 +184,16 @@ class SupportedInstance:
             raise KeyError("queried (row, col) pair outside the matrix support")
         return owners[pos_c]
 
+    def entries(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, owners)`` of every support entry of ``"A"``,
+        ``"B"`` or ``"X"``, in row-major order — the order of the owner
+        dicts (``owner_a`` / ``owner_b`` / ``owner_x``), as arrays."""
+        keys, owners = {
+            "A": self._owner_arrays_a, "B": self._owner_arrays_b, "X": self._owner_arrays_x
+        }[name]
+        rows, cols = np.divmod(keys, self.n)
+        return rows, cols, owners
+
     def owner_of_a(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Owner computer of each ``A[rows, cols]`` support entry (vectorized
         form of ``owner_a[(i, j)]``)."""
@@ -264,51 +270,36 @@ class SupportedInstance:
         # Iterate the support (ownership) rather than the stored values:
         # the support only upper-bounds the nonzeros, so hat positions with
         # no (or an explicit zero) value are dealt as the semiring zero.
-        for prefix, mat, owners in (
-            ("A", self.a, self.owner_a),
-            ("B", self.b, self.owner_b),
+        for prefix, (keys, stored), values_at in (
+            ("A", self._value_arrays_a, self.a_values_at),
+            ("B", self._value_arrays_b, self.b_values_at),
         ):
-            count = len(owners)
-            rows = np.fromiter((i for (i, _) in owners), dtype=np.int64, count=count)
-            cols = np.fromiter((j for (_, j) in owners), dtype=np.int64, count=count)
-            support = rows * self.n + cols
-            coo = mat.tocoo()
-            keys = coo.row.astype(np.int64) * self.n + coo.col.astype(np.int64)
-            outside = ~np.isin(keys, support)
-            if outside.any():
-                stray = {
-                    (int(i), int(j)): v
-                    for i, j, v in zip(coo.row[outside], coo.col[outside], coo.data[outside])
-                }
-                extra = {p for p, v in stray.items() if not sr.close(v, zero)}
-                if extra:
-                    raise ValueError(
-                        f"matrix {prefix} stores nonzero values outside its indicator support: {sorted(extra)[:3]}"
-                    )
-            # the value stored last under a key wins, as in a dict
-            order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
-            pos = np.searchsorted(sorted_keys, support, side="right") - 1
-            hit = pos >= 0
-            hit[hit] = sorted_keys[pos[hit]] == support[hit]
-            values = sr.zeros(count)
-            values[hit] = np.asarray(coo.data, dtype=sr.dtype)[order[pos[hit]]]
+            rows, cols, owners = self.entries(prefix)
+            outside = ~np.isin(keys, rows * self.n + cols)
+            extra = [
+                divmod(int(key), self.n)
+                for key, v in zip(keys[outside], stored[outside])
+                if not sr.close(v, zero)
+            ]
+            if extra:
+                raise ValueError(
+                    f"matrix {prefix} stores nonzero values outside its indicator support: {extra[:3]}"
+                )
             net.write_many(
-                list(owners.values()),
+                owners.tolist(),
                 [(prefix, i, j) for i, j in zip(rows.tolist(), cols.tolist())],
-                values,
+                values_at(rows, cols),
             )
 
     def collect_result(self, net: LowBandwidthNetwork) -> sp.csr_matrix:
         """Read the computed ``X`` values from their owner computers."""
-        coo = self.x_hat.tocoo()
-        rows, cols = coo.row.astype(np.int64), coo.col.astype(np.int64)
+        rows, cols, owners = self.entries("X")
         data = net.read_many(
-            self.owner_of_x(rows, cols).tolist(),
+            owners.tolist(),
             [("X", i, k) for i, k in zip(rows.tolist(), cols.tolist())],
             self.semiring.dtype,
         )
-        return sp.csr_matrix((data, (coo.row, coo.col)), shape=self.x_hat.shape)
+        return sp.csr_matrix((data, (rows, cols)), shape=self.x_hat.shape)
 
     # ------------------------------------------------------------------ #
     # Ground truth

@@ -13,7 +13,6 @@ from repro.model.collectives import (
     broadcast_tree_rounds,
     prefix_scan,
     run_boundaries,
-    segments_from_sorted,
 )
 from repro.model.network import LowBandwidthNetwork
 
@@ -110,19 +109,3 @@ def test_run_boundaries_property(vals):
         assert (arr[s : s + l] == arr[s]).all()
         if s > 0:
             assert arr[s - 1] != arr[s]
-
-
-@given(disjoint_segments())
-@settings(max_examples=40, deadline=None)
-def test_segments_from_sorted_anchors(params):
-    n, segments = params
-    # build a sorted key array where each segment is one run spread over
-    # its computers, one slot per computer
-    keys = np.concatenate(
-        [np.full(len(seg), idx) for idx, seg in enumerate(segments)]
-    )
-    slot_comp = np.concatenate([np.asarray(seg) for seg in segments])
-    out = segments_from_sorted(keys, slot_comp)
-    assert len(out) == len(segments)
-    for got, expect in zip(out, segments):
-        assert got.tolist() == expect

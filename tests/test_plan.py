@@ -26,6 +26,9 @@ from repro.model.faults import FaultPlan
 from repro.model.plan import (
     PLAN_VERSION,
     PlanCache,
+    PlanRecorder,
+    PlanUnplannable,
+    compile_plan,
     default_plan_cache,
     load_plans,
     load_plans_sharded,
@@ -46,7 +49,7 @@ from repro.serve import (
 from repro.serve.frontend import percentile
 from repro.serve.loadgen import LoadReport
 from repro.sparsity.families import US
-from repro.supported.instance import make_instance
+from repro.supported.instance import make_hard_instance, make_instance
 
 from repro.apps.graphs import random_regular_adjacency
 
@@ -258,6 +261,31 @@ def test_unplannable_algorithm_negative_cached():
     for r, g in zip(ref, got):
         _assert_identical(r, g)
     assert default_plan_cache().stats()["negative"] == 1
+
+
+@pytest.mark.parametrize(
+    "alg, kernel",
+    [
+        ("two_phase", "cluster_solve_3d"),
+        ("naive", "naive_triangles"),
+        ("sparse_3d", "sparse_3d"),
+        ("dense_3d", "dense_3d"),
+    ],
+)
+def test_columnar_kernels_mark_the_run_unplannable(alg, kernel):
+    """The naive, 3D and Lemma 2.1 kernels compute their values outside
+    the recorded Lemma 3.1 stages, so a recorder marks their runs
+    unplannable — the compiler's refusal does not rest on ``_PLANNABLE``
+    or the wave count alone."""
+    inst = make_hard_instance(64, 8, np.random.default_rng(0))
+    net = LowBandwidthNetwork(inst.n)
+    net.plan_recorder = recorder = PlanRecorder()
+    res = multiply(inst, algorithm=alg, network=net)
+    if alg == "two_phase":
+        assert res.details["stats"].waves >= 1
+    assert all(p.columnar for p in net.phases)
+    with pytest.raises(PlanUnplannable, match=f"^{kernel} computes values outside"):
+        compile_plan(inst, res, recorder, digest=b"\0" * 16)
 
 
 def test_algorithm_mismatch_falls_back():
