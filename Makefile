@@ -56,7 +56,7 @@ cert-smoke:
 # whether or not the `perf` extra (Numba) is installed — the JSON's
 # "kernels" note names the active backend.
 kernel-smoke:
-	pytest tests/test_kernels.py tests/test_scheduler_runs.py tests/test_local_fold.py tests/test_shm_executor.py tests/test_executor_resilience.py -q
+	pytest tests/test_kernels.py tests/test_scheduler_runs.py tests/test_local_fold.py tests/test_triangle_enumeration.py tests/test_instance_words.py tests/test_shm_executor.py tests/test_executor_resilience.py -q
 	REPRO_BENCH_SMOKE=1 REPRO_BENCH_WORKERS=2 \
 		pytest benchmarks/bench_sweep_executor.py --benchmark-only
 

@@ -97,10 +97,12 @@ def init_outputs(net: LowBandwidthNetwork, inst: SupportedInstance) -> None:
     """Each X owner initializes its requested entries to the semiring zero.
 
     This is support-only local computation (owners know which entries they
-    must report) and costs no rounds.
+    must report) and costs no rounds.  The entries are dealt as arrays
+    (:meth:`LowBandwidthNetwork.deal_words`), in ``inst.entries("X")``
+    order.
     """
     rows, cols, owners = inst.entries("X")
-    net.write_many(owners.tolist(), key_list(True, "X", rows, cols), inst.semiring.zeros(rows.size))
+    net.deal_words("X", rows, cols, owners, inst.semiring.zeros(rows.size))
 
 
 def words_keyed(net: LowBandwidthNetwork) -> bool:
@@ -255,8 +257,14 @@ def accumulate_into_x(
     cols[t])`` at that entry's owner, in element order, each entry seeded
     from the value its owner holds.  The entries are grouped by their
     ``(i, k)`` arrays (an entry's owner is a function of it), so the fold
-    is :func:`accumulate_at_owners`'s without a per-element key."""
+    is :func:`accumulate_at_owners`'s without a per-element key.  While
+    the ``X`` words are array-resident (:meth:`LowBandwidthNetwork.instance_words`)
+    the same fold runs on their value array, seeded from all of it."""
     sr = inst.semiring
+    words = net.instance_words("X")
+    if words is not None:
+        words.values = ordered_fold(sr, values, inst.x_index(rows, cols), seed=words.values)
+        return
     ids, firsts = group_ids(rows, cols)
     i, k = rows[firsts], cols[firsts]
     owners = inst.owner_of_x(i, k).tolist()

@@ -4,7 +4,8 @@ The routing scheme of Lemma 3.1 repeatedly works with a *sorted triple
 array* distributed over consecutive computers: runs of equal ``(i, j)``
 pairs form segments, the first triple of a run is the *anchor*, and values
 are spread (broadcast) or aggregated (convergecast) along each run.  The
-helpers here turn a sorted key array into those segments.
+helpers here build the per-level message batches of the doubling and
+halving trees along such segments, and the scan and reduce collectives.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from repro.model import _kernels
 
 __all__ = [
     "broadcast_tree_rounds",
-    "run_boundaries",
     "doubling_batches",
     "doubling_batches_arrays",
     "halving_batches",
@@ -84,20 +84,6 @@ def prefix_scan(net, key, combine, *, label: str = "scan") -> int:
     for comp in range(n):
         net.delete(comp, acc_key)
     return used
-
-
-def run_boundaries(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start indices and lengths of maximal runs of equal values in a sorted
-    1-D array."""
-    sorted_keys = np.asarray(sorted_keys)
-    if sorted_keys.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    change = np.empty(sorted_keys.size, dtype=bool)
-    change[0] = True
-    change[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    starts = np.flatnonzero(change).astype(np.int64)
-    lengths = np.diff(np.append(starts, sorted_keys.size)).astype(np.int64)
-    return starts, lengths
 
 
 def _flatten_segments(

@@ -40,6 +40,13 @@ Two execution modes:
       refuses this path; it always executes the checked per-message
       deliveries.
 
+**Instance words.**  On a columnar network the input and output words
+of an instance (:meth:`LowBandwidthNetwork.deal_words`) stay in arrays,
+where the columnar kernels read and fold them; the dict memories are
+built on first access to :attr:`LowBandwidthNetwork.mem` — by any read,
+write or keyed delivery — and receive those words first, in the order
+they were dealt, exactly as an eager deal would have left them.
+
 Every communication phase — scheduled, lockstep (one round, no
 scheduler) or columnar — runs through one delivery core: one entry
 (``_dispatch``: dispatch count, batch checks, the ack/resend protocol
@@ -64,6 +71,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
@@ -131,6 +139,18 @@ class PhaseRecord:
     wall_ns: int = 0  # wall-clock spent executing the phase (scheduling + delivery)
     cache_hit: bool = False  # schedule served from the structure-keyed cache
     columnar: bool = False  # values moved as arrays, not per-message dict writes
+
+
+@dataclass
+class InstanceWords:
+    """Instance words dealt as arrays (:meth:`LowBandwidthNetwork.deal_words`):
+    computer ``owners[t]`` holds ``values[t]`` under the key ``(prefix,
+    rows[t], cols[t])``."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    owners: np.ndarray
+    values: np.ndarray
 
 
 def _message_columns(
@@ -324,7 +344,8 @@ class LowBandwidthNetwork:
         )
         self.columnar = bool(columnar) and self._columnar_refusal is None
         self.rounds = 0
-        self.mem: list[dict[Key, Any]] = [dict() for _ in range(self.n)]
+        #: instance words not yet written into ``mem`` (see :meth:`deal_words`)
+        self._words: dict[str, InstanceWords] = {}
         self.phases: list[PhaseRecord] = []
         self.messages_sent = 0
         self.cache_hits = 0
@@ -340,6 +361,27 @@ class LowBandwidthNetwork:
         #: each value-pipeline stage as it executes.  Purely observational
         #: — never changes scheduling, rounds, or values.
         self.plan_recorder = None
+
+    @cached_property
+    def mem(self) -> list[dict[Key, Any]]:
+        """The per-computer dict memories, ``mem[c][key]``.  Built on first
+        access, which writes the array-resident instance words into them
+        first, in the order they were dealt (:meth:`deal_words`)."""
+        mem: list[dict[Key, Any]] = [dict() for _ in range(self.n)]
+        pending, self._words = self._words, {}
+        for prefix, words in pending.items():
+            self._write_words(mem, prefix, words)
+        return mem
+
+    def _write_words(self, mem: list[dict[Key, Any]], prefix: str, words: InstanceWords) -> None:
+        """Write instance words into the dict memories ``mem``, in order."""
+        for c, i, j, v in zip(
+            words.owners.tolist(), words.rows.tolist(), words.cols.tolist(), words.values
+        ):
+            mem[c][(prefix, i, j)] = v
+        if self._peak_mem is not None:
+            sizes = np.fromiter((len(m) for m in mem), dtype=np.int64, count=self.n)
+            np.maximum(self._peak_mem, sizes, out=self._peak_mem)
 
     def _sample_memory(self, comp: int) -> None:
         if self._peak_mem is not None:
@@ -362,6 +404,35 @@ class LowBandwidthNetwork:
         computation step)."""
         self.mem[comp][key] = value
         self._sample_memory(comp)
+
+    def deal_words(
+        self,
+        prefix: str,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        owners: np.ndarray,
+        values: np.ndarray,
+    ) -> None:
+        """Place instance words: ``owners[t]`` holds ``values[t]`` under
+        ``(prefix, rows[t], cols[t])``.
+
+        On a columnar network whose dict memories nobody has touched yet,
+        the words stay array-resident (:meth:`instance_words`) until the
+        first access to :attr:`mem` writes them in; otherwise, and for a
+        prefix dealt twice, they are written now.  The network keeps the
+        arrays it is given."""
+        words = InstanceWords(rows, cols, owners, values)
+        if self.columnar and "mem" not in self.__dict__ and prefix not in self._words:
+            self._words[prefix] = words
+        else:
+            self._write_words(self.mem, prefix, words)
+
+    def instance_words(self, prefix: str) -> InstanceWords | None:
+        """The array-resident words dealt under ``prefix``, or ``None`` once
+        they live in the dict memories (or were never dealt).  A caller
+        that updates them replaces ``values`` with an array of the same
+        length."""
+        return self._words.get(prefix)
 
     def read(self, comp: int, key: Key) -> Any:
         """Read a value a computer holds; NetworkError if absent."""

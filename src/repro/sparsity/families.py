@@ -33,10 +33,16 @@ PatternLike = Union[np.ndarray, sp.spmatrix]
 
 
 def as_csr(pattern: PatternLike) -> sp.csr_matrix:
-    """Normalize a pattern to canonical boolean CSR."""
+    """Normalize a pattern to canonical boolean CSR.  The input is left as
+    it was: a canonical boolean CSR comes back sharing its arrays, and any
+    other is canonicalized in a copy (doing that in place would re-sort
+    index arrays the result shares with the input, under the input's own
+    ``data``)."""
     mat = sp.csr_matrix(pattern, dtype=bool)
-    mat.sum_duplicates()
-    mat.eliminate_zeros()
+    if not (mat.has_canonical_format and mat.data.all()):
+        mat = mat.copy()
+        mat.sum_duplicates()
+        mat.eliminate_zeros()
     return mat
 
 

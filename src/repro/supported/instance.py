@@ -173,8 +173,8 @@ class SupportedInstance:
     def _owner_arrays_x(self):
         return self._owner_arrays(self.x_hat, axis=0)
 
-    def _owner_of(self, arrays, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        sorted_keys, owners = arrays
+    def _index_of(self, arrays, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        sorted_keys, _ = arrays
         q = np.asarray(rows, dtype=np.int64) * self.n + np.asarray(cols, dtype=np.int64)
         if q.size == 0:
             return np.zeros(0, dtype=np.int64)
@@ -182,7 +182,10 @@ class SupportedInstance:
         pos_c = np.minimum(pos, max(sorted_keys.size - 1, 0))
         if sorted_keys.size == 0 or not (sorted_keys[pos_c] == q).all():
             raise KeyError("queried (row, col) pair outside the matrix support")
-        return owners[pos_c]
+        return pos_c
+
+    def _owner_of(self, arrays, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return arrays[1][self._index_of(arrays, rows, cols)]
 
     def entries(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(rows, cols, owners)`` of every support entry of ``"A"``,
@@ -193,6 +196,11 @@ class SupportedInstance:
         }[name]
         rows, cols = np.divmod(keys, self.n)
         return rows, cols, owners
+
+    def x_index(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Position of each ``X[rows, cols]`` support entry in
+        :meth:`entries` ``("X")`` order (``KeyError`` outside the support)."""
+        return self._index_of(self._owner_arrays_x, rows, cols)
 
     def owner_of_a(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Owner computer of each ``A[rows, cols]`` support entry (vectorized
@@ -262,7 +270,10 @@ class SupportedInstance:
     # Dealing inputs / collecting outputs
     # ------------------------------------------------------------------ #
     def deal_into(self, net: LowBandwidthNetwork) -> None:
-        """Place input values at their owner computers."""
+        """Place input values at their owner computers, as arrays
+        (:meth:`LowBandwidthNetwork.deal_words`): ``A[i, j]`` under
+        ``("A", i, j)`` and ``B[j, k]`` under ``("B", j, k)``, in
+        :meth:`entries` order."""
         if net.n != self.n:
             raise ValueError("network size must equal matrix dimension")
         sr = self.semiring
@@ -285,20 +296,21 @@ class SupportedInstance:
                 raise ValueError(
                     f"matrix {prefix} stores nonzero values outside its indicator support: {extra[:3]}"
                 )
-            net.write_many(
-                owners.tolist(),
-                [(prefix, i, j) for i, j in zip(rows.tolist(), cols.tolist())],
-                values_at(rows, cols),
-            )
+            net.deal_words(prefix, rows, cols, owners, values_at(rows, cols))
 
     def collect_result(self, net: LowBandwidthNetwork) -> sp.csr_matrix:
-        """Read the computed ``X`` values from their owner computers."""
-        rows, cols, owners = self.entries("X")
-        data = net.read_many(
-            owners.tolist(),
-            [("X", i, k) for i, k in zip(rows.tolist(), cols.tolist())],
-            self.semiring.dtype,
-        )
+        """Read the computed ``X`` values from their owner computers —
+        straight from the ``X`` words while they are array-resident."""
+        words = net.instance_words("X")
+        if words is not None:
+            rows, cols, data = words.rows, words.cols, words.values
+        else:
+            rows, cols, owners = self.entries("X")
+            data = net.read_many(
+                owners.tolist(),
+                [("X", i, k) for i, k in zip(rows.tolist(), cols.tolist())],
+                self.semiring.dtype,
+            )
         return sp.csr_matrix((data, (rows, cols)), shape=self.x_hat.shape)
 
     # ------------------------------------------------------------------ #

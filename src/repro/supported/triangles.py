@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.sparsity.families import as_csr
 
@@ -26,45 +25,23 @@ __all__ = ["TriangleSet", "enumerate_triangles"]
 def enumerate_triangles(a_hat, b_hat, x_hat) -> np.ndarray:
     """All triangles of the instance, as an ``(m, 3)`` int64 array.
 
-    Vectorized per middle index ``j``: candidates are the cross product of
-    ``A_hat``'s column ``j`` with ``B_hat``'s row ``j``, filtered by
-    membership in ``X_hat``.
+    One sparse row-gather-and-mask over ``A_hat``'s entries ``(i, j)`` in
+    column-major order: row ``j`` of ``B_hat`` masked by row ``i`` of
+    ``X_hat`` (``B[j] * X[i]``, elementwise) lists the ``k`` that close a
+    triangle.  Rows come out ordered by ``j``, then ``i``, then ``k`` —
+    for each ``j``, the cross product of ``A_hat``'s column ``j`` with
+    ``B_hat``'s row ``j``, filtered by membership in ``X_hat``.
     """
     a = as_csr(a_hat).tocsc()
     b = as_csr(b_hat)
     x = as_csr(x_hat)
-    n = x.shape[0]
-
-    # sorted key set of X_hat for membership filtering
-    x_coo = x.tocoo()
-    x_keys = np.sort(x_coo.row.astype(np.int64) * n + x_coo.col.astype(np.int64))
-    if x_keys.size == 0:
+    i_e = a.indices.astype(np.int64)
+    if i_e.size == 0 or b.nnz == 0 or x.nnz == 0:
         return np.empty((0, 3), dtype=np.int64)
-
-    out_i: list[np.ndarray] = []
-    out_j: list[np.ndarray] = []
-    out_k: list[np.ndarray] = []
-    for j in range(a.shape[1]):
-        rows_j = a.indices[a.indptr[j] : a.indptr[j + 1]].astype(np.int64)
-        cols_j = b.indices[b.indptr[j] : b.indptr[j + 1]].astype(np.int64)
-        if rows_j.size == 0 or cols_j.size == 0:
-            continue
-        ii = np.repeat(rows_j, cols_j.size)
-        kk = np.tile(cols_j, rows_j.size)
-        keys = ii * n + kk
-        pos = np.searchsorted(x_keys, keys)
-        ok = (pos < x_keys.size) & (x_keys[np.minimum(pos, x_keys.size - 1)] == keys)
-        if not ok.any():
-            continue
-        ii, kk = ii[ok], kk[ok]
-        out_i.append(ii)
-        out_j.append(np.full(ii.size, j, dtype=np.int64))
-        out_k.append(kk)
-    if not out_i:
-        return np.empty((0, 3), dtype=np.int64)
-    return np.stack(
-        [np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_k)], axis=1
-    )
+    j_e = np.repeat(np.arange(a.shape[1], dtype=np.int64), np.diff(a.indptr))
+    hit = b[j_e].multiply(x[i_e])
+    e = np.repeat(np.arange(i_e.size, dtype=np.int64), np.diff(hit.indptr))
+    return np.stack([i_e[e], j_e[e], hit.indices.astype(np.int64)], axis=1)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from repro.model.collectives import (
     all_reduce,
     broadcast_tree_rounds,
     prefix_scan,
-    run_boundaries,
 )
 from repro.model.network import LowBandwidthNetwork
 
@@ -96,16 +95,3 @@ def test_prefix_scan_property(n, seed):
     prefix_scan(net, "v", lambda a, b: a + b)
     for c in range(1, n):
         assert net.read(c, ("v", "prefix")) == int(values[:c].sum())
-
-
-@given(st.lists(st.integers(0, 5), min_size=1, max_size=60))
-@settings(max_examples=60, deadline=None)
-def test_run_boundaries_property(vals):
-    arr = np.sort(np.asarray(vals))
-    starts, lengths = run_boundaries(arr)
-    assert lengths.sum() == arr.size
-    # reconstruct: each run is constant and maximal
-    for s, l in zip(starts, lengths):
-        assert (arr[s : s + l] == arr[s]).all()
-        if s > 0:
-            assert arr[s - 1] != arr[s]
