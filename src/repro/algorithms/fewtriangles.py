@@ -70,6 +70,20 @@ def default_kappa(num_triangles: int, n: int) -> int:
     return max(1, -(-num_triangles // n))
 
 
+def _virtual_ids(i_sorted: np.ndarray, kappa: int) -> np.ndarray:
+    """Virtual-node id of each triangle, given the triangles' ``i`` in
+    sorted order: the dense index of ``(i, rank // kappa)``, where a
+    triangle's rank counts the triangles before it with the same ``i``.
+    Those keys are already sorted, so a new id starts at every rank that
+    ``kappa`` divides."""
+    starts = np.empty(i_sorted.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(i_sorted[1:], i_sorted[:-1], out=starts[1:])
+    group_of = np.cumsum(starts) - 1
+    rank_in_group = np.arange(i_sorted.size) - np.flatnonzero(starts)[group_of]
+    return np.cumsum(rank_in_group % kappa == 0) - 1
+
+
 def _dedup_triples(a: np.ndarray, b: np.ndarray, c: np.ndarray, base_b: int, base_c: int):
     """Lexicographically sorted distinct triples (a, b, c), plus the inverse
     map from each input position to its slot in the deduplicated array."""
@@ -171,6 +185,17 @@ def _route_to_hosts(
     net.exchange_arrays(
         slot_comp, host, key_list(keyed, value_key, first, second), label=f"{label}-tohost"
     )
+    return starts
+
+
+def _per_pair(values_at, first, second, starts, inv):
+    """Operand values looked up once per distinct pair: ``values_at`` at
+    each run's ``(first, second)`` (sorted and distinct), and each
+    triangle's run (``inv`` maps triangles to slots), in the narrowest
+    unsigned type, so ``values[run]`` is each triangle's operand."""
+    runs = np.arange(starts.size, dtype=np.min_scalar_type(starts.size))
+    run_of_slot = np.repeat(runs, np.diff(starts, append=first.size))
+    return values_at(first[starts], second[starts]), run_of_slot[inv]
 
 
 def process_few_triangles(
@@ -226,19 +251,9 @@ def process_few_triangles(
     # Virtual balanced instance (§3.2)
     # ------------------------------------------------------------------ #
     if use_virtual_nodes:
-        order = np.argsort(tri[:, 0], kind="stable")
-        tri = tri[order]
-        i_col = tri[:, 0]
-        # rank of each triangle within its i-group
-        starts = np.concatenate(([True], i_col[1:] != i_col[:-1]))
-        group_start_idx = np.flatnonzero(starts)
-        group_of = np.cumsum(starts) - 1
-        rank_in_group = np.arange(tri.shape[0]) - group_start_idx[group_of]
-        copy = rank_in_group // kappa
-        # virtual id = dense index of (i, copy)
-        vkeys = i_col * (tri.shape[0] + 1) + copy
-        uniq, vids = np.unique(vkeys, return_inverse=True)
-        num_vids = uniq.size
+        tri = tri[np.argsort(tri[:, 0], kind="stable")]
+        vids = _virtual_ids(tri[:, 0], kappa)
+        num_vids = int(vids[-1]) + 1
     else:
         # no balancing: one processor per i node
         vids = tri[:, 0].copy()
@@ -262,15 +277,19 @@ def process_few_triangles(
     # Steps 1-2: route A and B values to the virtual hosts
     # ------------------------------------------------------------------ #
     vid_base = num_vids + 1
-    for name, (c0, c1), owner_of_pair, value_key in (
-        ("A", (0, 1), inst.owner_of_a, av_key),
-        ("B", (1, 2), inst.owner_of_b, bv_key),
+    operands = []  # columnar path: (values per distinct pair, each triangle's pair)
+    for name, (c0, c1), owner_of_pair, values_at, value_key in (
+        ("A", (0, 1), inst.owner_of_a, inst.a_values_at, av_key),
+        ("B", (1, 2), inst.owner_of_b, inst.b_values_at, bv_key),
     ):
-        first, second, tv, _ = _dedup_triples(tri[:, c0], tri[:, c1], vids, n, vid_base)
-        _route_to_hosts(
+        first, second, tv, inv = _dedup_triples(tri[:, c0], tri[:, c1], vids, n, vid_base)
+        starts = _route_to_hosts(
             net, first, second, host_of_vid[tv], owner_of_pair, name, value_key,
             n=n, keyed=keyed, use_trees=use_trees, label=f"{label}/{name}",
         )
+        if not keyed:
+            operands.append(_per_pair(values_at, first, second, starts, inv))
+        del inv  # per triangle: only the compact pair index is kept past this matrix
 
     # ------------------------------------------------------------------ #
     # Step 3a: local products, pre-aggregated per (vid, i, k) at the host
@@ -318,9 +337,8 @@ def process_few_triangles(
         totals = net.read_many(owners.tolist(), xin_keys, sr.dtype)
     else:
         fold = StageFold(x_inv, seg_of_slot, seg_counts, use_trees, negate)
-        a = inst.a_values_at(tri[:, 0], tri[:, 1])
-        b = inst.b_values_at(tri[:, 1], tri[:, 2])
-        totals = fold.totals(sr, a[None], b[None])[0]
+        (a, a_pair), (b, b_pair) = operands
+        totals = fold.totals(sr, a[a_pair][None], b[b_pair][None])[0]
         if rec is not None:
             # the replay-plan compiler (repro.model.plan) lowers this stage
             # into payload-plane gathers, so warm replays skip the network

@@ -59,9 +59,13 @@ Multi-process sweeps run on one engine built on
   segment; a cell's completion message shrinks to its index, optional
   error text, and a byte range — per-cell serialized payload drops by
   orders of magnitude (both sides are measured and reported in
-  ``stats["payload"]`` and per cell on :class:`CellResult`);
+  ``stats["payload"]`` and per cell on :class:`CellResult`; the pickled
+  side is sized from protocol-5 out-of-band buffers, without copying);
 * dispatch is work stealing: the parent hands the next pending cell to
-  whichever worker frees up, so one slow cell never idles the rest;
+  whichever worker frees up, so one slow cell never idles the rest.
+  Each turn of the parent's loop dispatches first and only then waits
+  on the result pipes, so no worker idles through a poll timeout before
+  its first cell;
 * each worker owns a private task queue (the parent always knows which
   cell a dead worker held) and a one-writer result pipe (a killed worker
   can never leave a shared lock held and wedge its siblings); a worker
@@ -340,6 +344,14 @@ def _result_from_row(
     return res
 
 
+def _pickled_nbytes(obj) -> int:
+    """Bytes pickling ``obj`` would ship, counted without copying its
+    arrays: the protocol-5 stream plus its out-of-band buffers."""
+    buffers: list[pickle.PickleBuffer] = []
+    inband = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    return len(inband) + sum(buf.raw().nbytes for buf in buffers)
+
+
 def _shm_worker_main(spec, task_q, result_conn) -> None:
     """Loop of one engine worker (see "The worker engine" above).
 
@@ -386,8 +398,7 @@ def _shm_worker_main(spec, task_q, result_conn) -> None:
                 if inst is None:
                     inst = attached[cell.axis_index] = shm.attach_instance(desc, tracker)
             res, new = _exec_cell(cell, instance=inst)
-            # what pickling the whole result would ship for this cell
-            baseline = len(pickle.dumps((res, new)))
+            baseline = _pickled_nbytes((res, new))
             start = cursor
             spill: dict[bytes, np.ndarray] = {}
             for digest, arr in new.items():
@@ -733,6 +744,20 @@ def _execute_shm(
         try:
             workers_live.extend(spawn() for _ in range(workers))
             while completed < len(cells):
+                # work stealing: the next ready cell goes to whichever
+                # worker is idle right now — before the wait, so no
+                # worker idles through a poll timeout for its first cell
+                tnow = time.monotonic()
+                for w in workers_live:
+                    if w["job"] is not None or not w["proc"].is_alive():
+                        continue
+                    job = next_ready(tnow)
+                    if job is None:
+                        break
+                    cell, attempt, _, log = job
+                    w["job"] = (cell, attempt, log, tnow + timeout)
+                    w["task_q"].put(cell)
+
                 readable = _conn_wait([w["conn"] for w in workers_live], timeout=0.02)
                 for w in workers_live:
                     if w["conn"] in readable:
@@ -763,19 +788,6 @@ def _execute_shm(
                             f"(worker pid {proc.pid} killed)",
                         )
                         retire(w)
-
-                # work stealing: the next ready cell goes to whichever
-                # worker is idle right now
-                tnow = time.monotonic()
-                for w in workers_live:
-                    if w["job"] is not None or not w["proc"].is_alive():
-                        continue
-                    job = next_ready(tnow)
-                    if job is None:
-                        break
-                    cell, attempt, _, log = job
-                    w["job"] = (cell, attempt, log, tnow + timeout)
-                    w["task_q"].put(cell)
         finally:
             stop_workers(workers_live)
         info["segments"] = len(arena._segments)

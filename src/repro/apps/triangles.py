@@ -112,7 +112,7 @@ def list_triangles(adjacency) -> tuple[list[tuple[int, int, int]], int, np.ndarr
     (balanced to ``O(|T|/n)`` by the virtual nodes).
     """
     from repro.algorithms.base import init_outputs
-    from repro.algorithms.fewtriangles import default_kappa, process_few_triangles
+    from repro.algorithms.fewtriangles import _virtual_ids, default_kappa, process_few_triangles
 
     inst = triangle_instance(adjacency, semiring=BOOLEAN)
     net = LowBandwidthNetwork(inst.n)
@@ -124,18 +124,9 @@ def list_triangles(adjacency) -> tuple[list[tuple[int, int, int]], int, np.ndarr
 
     # Reconstruct who processed what from the (support-only) virtual-node
     # assignment: the same deterministic layout the routing used.
-    order = np.argsort(tri[:, 0], kind="stable")
-    sorted_tri = tri[order]
-    i_col = sorted_tri[:, 0]
-    starts = np.concatenate(([True], i_col[1:] != i_col[:-1]))
-    group_start_idx = np.flatnonzero(starts)
-    group_of = np.cumsum(starts) - 1
-    rank_in_group = np.arange(sorted_tri.shape[0]) - group_start_idx[group_of]
-    copy = rank_in_group // kappa
-    vkeys = i_col * (sorted_tri.shape[0] + 1) + copy
-    _, vids = np.unique(vkeys, return_inverse=True)
-    num_vids = int(vids.max()) + 1 if vids.size else 0
-    hosts = (np.arange(num_vids, dtype=np.int64) % inst.n)[vids] if num_vids else np.empty(0, np.int64)
+    sorted_tri = tri[np.argsort(tri[:, 0], kind="stable")]
+    # (virtual node v is hosted round-robin, on computer v % n)
+    hosts = _virtual_ids(sorted_tri[:, 0], kappa) % inst.n
 
     load = np.bincount(hosts, minlength=inst.n)
     # triangles where both edges are present are listed (here: all of T)

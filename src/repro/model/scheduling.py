@@ -27,9 +27,12 @@ are provided, both returning bit-identical assignments:
   integer bitmasks as occupancy sets (kept as the executable
   specification).
 * ``method="vectorized"`` — the fast path.  It numbers the endpoints
-  densely and finds the lexsorted order with one stable argsort of a
-  combined ``(src, dst)`` key (the same permutation ``np.lexsort`` gives),
-  then takes, in this order:
+  densely — in O(m) from a presence table over the id range when that
+  range is at most ``4 m`` wide, as a large phase's computer ids usually
+  are, and with ``np.unique`` otherwise (:func:`_dense_ids`) — and finds
+  the lexsorted order with one stable argsort of a combined
+  ``(src, dst)`` key (the same permutation ``np.lexsort`` gives), then
+  takes, in this order:
 
   1. closed forms where first-fit is a rank function (a single endpoint
      on one side, or degree 1 on one side);
@@ -138,9 +141,8 @@ def greedy_two_sided_schedule(
         # gives the lexsort order (ties stay in position order); in the
         # narrowest unsigned type that holds it, NumPy radix-sorts keys of
         # up to 16 bits.
-        s_uniq, s_ids = np.unique(r_src, return_inverse=True)
-        d_uniq, d_ids = np.unique(r_dst, return_inverse=True)
-        n_send, n_recv = s_uniq.size, d_uniq.size
+        s_ids, n_send = _dense_ids(r_src)
+        d_ids, n_recv = _dense_ids(r_dst)
         key = (s_ids * n_recv + d_ids).astype(np.min_scalar_type(n_send * n_recv - 1))
         idx = np.argsort(key, kind="stable")
         s_ids, d_ids = s_ids[idx], d_ids[idx]  # unsorted ids would stay alive in the loop
@@ -150,6 +152,23 @@ def greedy_two_sided_schedule(
     out_remote[idx] = assigned
     rounds[remote] = out_remote
     return rounds
+
+
+def _dense_ids(ids: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rank of each id among the distinct ids, and how many there are:
+    ``np.unique(ids, return_inverse=True)``'s inverse and size.
+
+    When ``[min, max]`` is at most ``4 m`` wide a presence table over it
+    ranks the ids in O(m); wider ranges (ids far apart) keep the sort."""
+    lo, hi = int(ids.min()), int(ids.max())
+    if hi - lo >= 4 * ids.size:
+        uniq, inv = np.unique(ids, return_inverse=True)
+        return inv, uniq.size
+    offset = ids - lo
+    present = np.zeros(hi - lo + 1, dtype=bool)
+    present[offset] = True
+    rank = np.cumsum(present, dtype=np.int64)
+    return rank[offset] - 1, int(rank[-1])
 
 
 # --------------------------------------------------------------------- #
