@@ -44,24 +44,23 @@ cert-smoke:
 	REPRO_BENCH_SMOKE=1 \
 		pytest benchmarks/bench_resilience.py --benchmark-only -k certification
 
-# Kernel + zero-copy executor smoke: backend parity (Numba/NumPy
-# bit-identity, silent-fallback reporting), the scheduler parity net
-# (run-collapsed first-fit, the active first-fit kernel and the reference
-# loop against each other; the bounded-key numbering and per-pair lookups
-# against the sorts they replace), the local-step folds against
-# their recorded goldens (so they run on both kernel backends), and the
-# shared-memory work-stealing engine (serial equivalence, crash recovery,
-# segment hygiene, dispatch before polling, and the self-healing
-# timeout/retry/quarantine policy it also runs), then the sweep bench with two workers so BENCH_sweeps.json
-# records the shm engine's per-cell payload accounting.  Runs the same
-# whether or not the `perf` extra (Numba) is installed — the JSON's
-# "kernels" note names the active backend.
+# Kernel + zero-copy executor smoke: the NumPy segment-sum kernels
+# against np.add.at, the scheduler parity net (run-collapsed first-fit
+# against the reference loop; the bounded-key numbering and per-pair
+# lookups against the sorts they replace), the local-step folds against
+# their recorded goldens, and the shared-memory work-stealing engine
+# (serial equivalence, crash recovery, segment hygiene, dispatch before
+# polling, and the self-healing timeout/retry/quarantine policy it also
+# runs), then the sweep bench with two workers so BENCH_sweeps.json
+# records the shm engine's per-cell payload accounting.
 kernel-smoke:
 	pytest tests/test_kernels.py tests/test_scheduler_runs.py tests/test_pair_lookup_parity.py tests/test_local_fold.py tests/test_triangle_enumeration.py tests/test_instance_words.py tests/test_shm_executor.py tests/test_dispatch_order.py tests/test_executor_resilience.py -q
 	REPRO_BENCH_SMOKE=1 REPRO_BENCH_WORKERS=2 \
 		pytest benchmarks/bench_sweep_executor.py --benchmark-only
 
-# Serving-layer smoke: the serve test suite, then the serving bench —
+# Serving-layer smoke: the serve test suite and the store's container
+# tests and loader fuzzing (schedule and plan records), then the serving
+# bench —
 # boots the frontend over a 2-worker shared-memory pool, drives
 # mixed-tenant load in-process (3 job kinds, all 7 semirings), and
 # asserts coalescing (rate > 0), bit-identity of every batched result to
@@ -69,7 +68,7 @@ kernel-smoke:
 # store, and bounded-queue rejection.  Emits
 # benchmarks/results/BENCH_serving.json (CI uploads it as an artifact).
 serve-smoke:
-	pytest tests/test_serve.py -q
+	pytest tests/test_serve.py tests/test_schedule_cache_store.py tests/test_store_fuzz.py -q
 	REPRO_BENCH_SMOKE=1 REPRO_SERVE_WORKERS=2 \
 		pytest benchmarks/bench_serving.py --benchmark-only
 

@@ -11,7 +11,7 @@ least 5x faster on the warm d=64 two-phase sweep.
 
 The JSON artifact records the fast path's engine configuration
 (:meth:`repro.model.network.LowBandwidthNetwork.engine_info`), including
-the active compiled-kernel backend and any silent NumPy fallback.
+the kernel backend.
 
 Set ``REPRO_BENCH_SMOKE=1`` to run a tiny instance (CI smoke — asserts
 equality only, no timing threshold).
@@ -71,7 +71,7 @@ def bench_simulator_throughput(benchmark):
     instances = _sweep_instances()
 
     # name the engine that produced the numbers (fast-path configuration
-    # plus the active compiled-kernel backend and any silent fallback)
+    # plus the kernel backend)
     engine = LowBandwidthNetwork(instances[0].n).engine_info()
 
     baseline_s, baseline_rounds = _run_sweep(instances, fast=False, cache=None)

@@ -5,9 +5,7 @@ The benchmark drivers are configured through environment variables
 ``REPRO_SWEEP_CACHE_DIR`` the persistent schedule-store directory,
 ``REPRO_CERT_CHECKS`` the number of in-model Freivalds certification
 checks (0 disables), ``REPRO_SWEEP_CHECKPOINT_DIR`` the crash-safe
-sweep-manifest directory, and ``REPRO_KERNELS`` the compiled-kernel
-backend (``auto``/``numba``/``numpy``; see
-:mod:`repro.model._kernels`).  The serving layer
+sweep-manifest directory.  The serving layer
 (:mod:`repro.serve`) adds ``REPRO_SERVE_WORKERS`` (resident worker
 processes; 0 = in-process), ``REPRO_SERVE_BATCH_WINDOW_MS`` (how long a
 structure's batch stays open for coalescing) and
@@ -37,7 +35,6 @@ __all__ = [
     "env_cache_dir",
     "env_cert_checks",
     "env_checkpoint_dir",
-    "env_kernels",
     "env_serve_workers",
     "env_serve_batch_window_ms",
     "env_serve_max_queue",
@@ -45,14 +42,12 @@ __all__ = [
     "env_transport",
     "env_transport_timeout_ms",
     "env_transport_heartbeat_ms",
-    "kernel_availability",
 ]
 
 WORKERS_VAR = "REPRO_BENCH_WORKERS"
 CACHE_DIR_VAR = "REPRO_SWEEP_CACHE_DIR"
 CERT_CHECKS_VAR = "REPRO_CERT_CHECKS"
 CHECKPOINT_DIR_VAR = "REPRO_SWEEP_CHECKPOINT_DIR"
-KERNELS_VAR = "REPRO_KERNELS"
 SERVE_WORKERS_VAR = "REPRO_SERVE_WORKERS"
 SERVE_BATCH_WINDOW_VAR = "REPRO_SERVE_BATCH_WINDOW_MS"
 SERVE_MAX_QUEUE_VAR = "REPRO_SERVE_MAX_QUEUE"
@@ -61,7 +56,6 @@ TRANSPORT_VAR = "REPRO_TRANSPORT"
 TRANSPORT_TIMEOUT_VAR = "REPRO_TRANSPORT_TIMEOUT_MS"
 TRANSPORT_HEARTBEAT_VAR = "REPRO_TRANSPORT_HEARTBEAT_MS"
 
-_KERNEL_CHOICES = ("auto", "numba", "numpy")
 _TRANSPORT_CHOICES = ("local", "tcp")
 
 
@@ -147,42 +141,6 @@ def env_cert_checks(
             f"{CERT_CHECKS_VAR} must be >= 0 (0 = certification off), got {value}"
         )
     return value
-
-
-def env_kernels(
-    default: str = "auto", *, environ: Mapping[str, str] | None = None
-) -> str:
-    """Kernel backend selection from ``REPRO_KERNELS``.
-
-    Accepts ``auto`` (Numba when importable, NumPy otherwise), ``numba``
-    (request the compiled kernels; **silently** falls back to NumPy when
-    Numba is absent — availability is reported, not raised), or ``numpy``
-    (force the bit-identity reference path).  Unset or empty falls back
-    to ``default``; anything else raises :class:`EnvConfigError`.
-    """
-    env = environ if environ is not None else os.environ
-    raw = env.get(KERNELS_VAR)
-    if raw is None or raw.strip() == "":
-        return default
-    value = raw.strip().lower()
-    if value not in _KERNEL_CHOICES:
-        raise EnvConfigError(
-            f"{KERNELS_VAR} must be one of {', '.join(_KERNEL_CHOICES)}, got {raw!r}"
-        )
-    return value
-
-
-def kernel_availability() -> dict:
-    """What kernel backend is active and why (for bench artifacts).
-
-    Returns :func:`repro.model._kernels.kernel_info`: the active backend
-    (``numba``/``numpy``), the requested value of ``REPRO_KERNELS``,
-    Numba availability and version, and a one-line ``note`` naming any
-    silent fallback.
-    """
-    from repro.model import _kernels  # deferred: _kernels reads env_kernels
-
-    return _kernels.kernel_info()
 
 
 def env_serve_workers(

@@ -102,10 +102,8 @@ def _flatten_segments(
 
 def _segment_offsets(counts: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray]:
     """For per-segment message counts, return ``(seg_of_msg, offset_in_seg)``
-    enumerating messages segment-major, offsets ascending.  Dispatches to
-    :func:`repro.model._kernels.segment_offsets` (fused compiled loop under
-    Numba, the historical repeat/cumsum arithmetic under NumPy — identical
-    outputs either way)."""
+    enumerating messages segment-major, offsets ascending
+    (:func:`repro.model._kernels.segment_offsets`)."""
     return _kernels.segment_offsets(counts, total)
 
 

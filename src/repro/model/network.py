@@ -60,10 +60,9 @@ depends only on the sparsity structure: all schedules, anchor arrays, and
 tree shapes in this codebase are functions of the indicator matrices alone,
 never of the numeric values.
 
-Scheduling and the columnar gather/scatter aggregation both dispatch
-through :mod:`repro.model._kernels` (Numba-compiled loops when available,
-bit-identical NumPy reference otherwise; ``REPRO_KERNELS`` selects).
-:meth:`LowBandwidthNetwork.engine_info` reports which backend a run used.
+The columnar gather/scatter aggregation runs through the NumPy kernels
+of :mod:`repro.model._kernels`; :meth:`LowBandwidthNetwork.engine_info`
+records them.
 """
 
 from __future__ import annotations
@@ -1001,7 +1000,7 @@ class LowBandwidthNetwork:
 
     def engine_info(self) -> dict[str, Any]:
         """How this network executes phases: strictness, columnar delivery,
-        scheduling method, and the active compiled-kernel backend
+        scheduling method, and the kernel backend
         (:mod:`repro.model._kernels`) — recorded into bench artifacts so a
         measurement always names the engine that produced it."""
         from repro.model import _kernels

@@ -32,15 +32,15 @@ run:
 
 Replay is then :func:`replay_batch`: stack B structurally identical
 jobs' payload planes into one ``(B, nnz)`` array and run each stage's
-gathers and fold *once* for the whole batch — pure NumPy/Numba indexed
+gathers and fold *once* for the whole batch — pure NumPy indexed
 ops, zero simulator dispatches (:func:`repro.model.network.dispatch_count`
 is the proof), and row ``b`` of the output is bit-identical to job
 ``b``'s per-job execution because every kernel in the chain preserves
 per-row element order (:meth:`repro.semirings.Semiring.segment_sum_batch`).
 
-Plans persist next to the sharded schedule store — same digest-prefix
-shard directories, ``plans-v2.npz`` files with the schedule store's
-magic/version/atomic-replace/corruption-tolerance discipline — so serve
+Plans persist as plan records of the one on-disk container
+(:mod:`repro.model.store`, :data:`PLAN_STORE`): ``plans-v2.npz`` files in
+the same digest-prefix shard directories as the schedules, so serve
 workers warm-load plans at spawn and a restarted service replays
 without ever re-walking a structure.  Version 1 plans summed each run
 linearly, so they are never loaded.
@@ -49,19 +49,16 @@ linearly, so they are never loaded.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
-import os
-import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.model.collectives import collective_tape, halving_batches_arrays
+from repro.model.store import RecordStore
 
 __all__ = [
     "PLAN_VERSION",
@@ -77,6 +74,7 @@ __all__ = [
     "PlanCache",
     "default_plan_cache",
     "plan_key_digest",
+    "PLAN_STORE",
     "plan_store_path",
     "save_plans",
     "load_plans",
@@ -86,10 +84,6 @@ __all__ = [
 
 #: On-disk plan format version; the loader silently rejects others.
 PLAN_VERSION = 2
-
-_PLAN_MAGIC = "repro-plan-store"
-_PLAN_STEM = "plans-v"
-_SHARD_DIR = "shards"
 
 #: algorithms whose entire value computation is columnar Lemma 3.1 stages
 #: (``two_phase`` qualifies only when it ran zero clustering waves — a
@@ -516,7 +510,7 @@ def default_plan_cache() -> PlanCache:
 
 
 # --------------------------------------------------------------------- #
-# Persistence (the schedule store's discipline, plan-shaped entries)
+# Persistence: plan records in the one container (repro.model.store)
 # --------------------------------------------------------------------- #
 def plan_key_digest(key: tuple) -> bytes:
     """128-bit fingerprint of a coalescing key ``(digest, semiring, shape)``
@@ -528,11 +522,6 @@ def plan_key_digest(key: tuple) -> bytes:
     for s in shape:
         h.update(int(s).to_bytes(8, "little", signed=True))
     return h.digest()
-
-
-def plan_store_path(cache_dir: str | os.PathLike) -> Path:
-    """The current-version plan store file inside a cache directory."""
-    return Path(cache_dir) / f"{_PLAN_STEM}{PLAN_VERSION}.npz"
 
 
 def _plan_arrays(key: tuple, plan: ReplayPlan) -> dict:
@@ -630,149 +619,19 @@ def _plan_from_group(fields: dict) -> tuple[tuple, ReplayPlan]:
     return key, plan
 
 
-def save_plans(
-    path: str | os.PathLike,
-    plans: dict,
-    *,
-    max_entries: int = 1024,
-    max_bytes: int = 64 * 1024 * 1024,
-) -> dict:
-    """Atomically write a versioned plan store; returns save stats.
+PLAN_STORE = RecordStore(
+    magic="repro-plan-store",
+    stem="plans-v",
+    version=PLAN_VERSION,
+    tag="p",
+    max_entries=1024,
+    encode=_plan_arrays,
+    decode=lambda _eid, fields: _plan_from_group(fields),
+    route=plan_key_digest,
+)
 
-    Same contract as :func:`repro.model.schedule_cache.save_store`:
-    temp-file + ``os.replace`` (a crash never leaves a torn store),
-    entry/byte caps, and eviction of other-version store files.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    kept: dict[str, np.ndarray] = {}
-    payload = 0
-    written = 0
-    dropped = 0
-    for key, plan in reversed(list(plans.items())):
-        arrays = _plan_arrays(key, plan)
-        nbytes = sum(a.nbytes for a in arrays.values())
-        if written >= max_entries or payload + nbytes > max_bytes:
-            dropped += 1
-            continue
-        kept.update(arrays)
-        payload += nbytes
-        written += 1
-    kept["__meta__"] = np.array([PLAN_VERSION], dtype=np.int64)
-
-    buf = io.BytesIO()
-    np.savez_compressed(
-        buf, magic=np.frombuffer(_PLAN_MAGIC.encode(), dtype=np.uint8), **kept
-    )
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(buf.getvalue())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    for stale in path.parent.glob(f"{_PLAN_STEM}*.npz"):
-        if stale != path:
-            try:
-                stale.unlink()
-            except OSError:
-                pass
-    return {
-        "path": str(path),
-        "entries": written,
-        "dropped": dropped,
-        "bytes": path.stat().st_size,
-        "version": PLAN_VERSION,
-    }
-
-
-def load_plans(path: str | os.PathLike) -> dict:
-    """Load a plan store; ``{}`` on any damage (cold-plans fallback).
-
-    Tolerates missing/garbage files, wrong magic, version mismatch, and
-    per-entry malformation — a damaged entry is skipped, not fatal.
-    """
-    try:
-        with np.load(Path(path)) as data:
-            magic = data["magic"] if "magic" in data.files else None
-            if magic is None or bytes(magic.tobytes()) != _PLAN_MAGIC.encode():
-                return {}
-            meta = data["__meta__"] if "__meta__" in data.files else None
-            if meta is None or int(np.asarray(meta).ravel()[0]) != PLAN_VERSION:
-                return {}
-            groups: dict[str, dict] = {}
-            for name in data.files:
-                if not name.startswith("p_") or len(name) < 36:
-                    continue
-                kd, field_name = name[2:34], name[35:]
-                groups.setdefault(kd, {})[field_name] = data[name]
-            out: dict = {}
-            for kd, fields in groups.items():
-                try:
-                    key, plan = _plan_from_group(fields)
-                except Exception:
-                    continue
-                out[key] = plan
-            return out
-    except Exception:
-        return {}
-
-
-def save_plans_sharded(
-    cache_dir: str | os.PathLike,
-    plans: dict,
-    *,
-    max_entries_per_shard: int = 1024,
-    max_bytes_per_shard: int = 64 * 1024 * 1024,
-) -> dict:
-    """Write plans across the digest-prefix shard directories the schedule
-    store already uses (``shards/<p>/plans-v2.npz`` next to each shard's
-    ``schedules-v1.npz``); merges existing shard entries first and skips
-    shards the new plans would not change."""
-    from repro.model.schedule_cache import SHARD_PREFIX_CHARS
-
-    by_shard: dict[str, dict] = {}
-    for key, plan in plans.items():
-        prefix = plan_key_digest(key).hex()[:SHARD_PREFIX_CHARS]
-        by_shard.setdefault(prefix, {})[key] = plan
-    stats = {"shards_written": 0, "entries": 0, "bytes": 0}
-    for prefix, shard_plans in sorted(by_shard.items()):
-        path = Path(cache_dir) / _SHARD_DIR / prefix / f"{_PLAN_STEM}{PLAN_VERSION}.npz"
-        existing = load_plans(path)
-        fresh = [k for k in shard_plans if k not in existing]
-        if not fresh and existing:
-            continue
-        merged = dict(existing)
-        merged.update(shard_plans)
-        s = save_plans(
-            path,
-            merged,
-            max_entries=max_entries_per_shard,
-            max_bytes=max_bytes_per_shard,
-        )
-        stats["shards_written"] += 1
-        stats["entries"] += s["entries"]
-        stats["bytes"] += s["bytes"]
-    return stats
-
-
-def load_plans_sharded(
-    cache_dir: str | os.PathLike,
-    *,
-    prefixes: "list[str] | None" = None,
-) -> dict:
-    """Load plans from a sharded cache directory (``{}`` on any damage)."""
-    shard_root = Path(cache_dir) / _SHARD_DIR
-    if prefixes is None:
-        try:
-            prefixes = sorted(p.name for p in shard_root.iterdir() if p.is_dir())
-        except OSError:
-            return {}
-    out: dict = {}
-    for prefix in prefixes:
-        out.update(load_plans(shard_root / prefix / f"{_PLAN_STEM}{PLAN_VERSION}.npz"))
-    return out
+plan_store_path = PLAN_STORE.path
+save_plans = PLAN_STORE.save
+load_plans = PLAN_STORE.load
+save_plans_sharded = PLAN_STORE.save_sharded
+load_plans_sharded = PLAN_STORE.load_sharded

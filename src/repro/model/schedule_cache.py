@@ -18,65 +18,35 @@ long-running sweep cannot grow it without bound.
 
 Persistence
 -----------
-A cache can be serialized to a *versioned on-disk store* so the first-fit
-scheduling cost is paid once per structure across processes *and* across
-runs (the parallel sweep executor warm-loads the store into every worker
-and merges the workers' new schedules back after a run):
-
-* :func:`save_store` / :func:`load_store` read and write a single store
-  file whose entries are keyed by the same structure digests as the
-  in-memory cache.  The format carries a magic string and
-  :data:`STORE_VERSION`; loading a missing, corrupt, truncated or
-  version-mismatched file *never raises* — it returns an empty mapping,
-  so callers simply fall back to a cold cache.
-* :func:`store_path` maps a cache *directory* to the current versioned
-  file name (``schedules-v1.npz``); saving evicts store files of other
-  versions from the directory so stale formats do not accumulate.
-* The store is bounded twice over: :func:`save_store` keeps at most
-  ``max_entries`` schedules (most recently used first) and stops adding
-  entries once ``max_bytes`` of payload is reached, so CI machines cannot
-  accumulate unbounded cache files.
-
-Sharding
---------
-A single store file is fine for batch sweeps (one writer, the parent),
-but a resident multi-tenant service has many workers persisting and
-warm-loading concurrently.  The *sharded* store splits the same entry
-format across ``shards/<p>/schedules-v1.npz`` files keyed by the first
-:data:`SHARD_PREFIX_CHARS` hex characters of the structure digest:
-
-* :func:`shard_prefix` routes a digest to its shard;
-* :func:`shard_store_path` maps ``(cache_dir, digest)`` to the shard
-  file, so two workers touching different structures never open the
-  same npz;
-* :func:`save_store_sharded` / :func:`load_store_sharded` fan the plain
-  save/load out across shards (per-shard writes stay atomic, per-shard
-  damage stays contained — a torn shard is one cold shard, not a cold
-  store).
-
-The store holds only ``int64`` round-assignment arrays and is written via
-``numpy.savez_compressed`` — no pickled code objects, so loading an
-untrusted/stale file is at worst a cold cache, never code execution.
+A cache persists as schedule records in the one on-disk container of
+:mod:`repro.model.store` (:data:`SCHEDULE_STORE`): one ``int64`` round
+array per structure digest, in ``schedules-v1.npz`` files (a single file
+for batch sweeps, or ``shards/<p>/`` files for the resident service's
+concurrent workers).  The module keeps the store's public names as
+bindings: :func:`store_path`, :func:`save_store`, :func:`load_store`,
+:func:`shard_store_path`, :func:`save_store_sharded` and
+:func:`load_store_sharded`.  Loading never raises; a damaged store is a
+cold cache.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import os
-import tempfile
 from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 
 from repro.model.scheduling import greedy_two_sided_schedule
+from repro.model.store import SHARD_PREFIX_CHARS, RecordStore, shard_prefix
 
 __all__ = [
     "ScheduleCache",
     "default_schedule_cache",
     "phase_digest",
     "STORE_VERSION",
+    "SCHEDULE_STORE",
     "SHARD_PREFIX_CHARS",
     "store_path",
     "save_store",
@@ -91,9 +61,6 @@ __all__ = [
 #: On-disk store format version.  Bump when the entry layout changes; the
 #: loader rejects (silently, as a cold cache) any other version.
 STORE_VERSION = 1
-
-_STORE_MAGIC = "repro-schedule-store"
-_STORE_STEM = "schedules-v"
 
 
 def phase_digest(src: np.ndarray, dst: np.ndarray) -> bytes:
@@ -235,195 +202,37 @@ class ScheduleCache:
 
 
 # ---------------------------------------------------------------------- #
-# On-disk store
+# On-disk store: schedule records in the one container (repro.model.store)
 # ---------------------------------------------------------------------- #
-def store_path(cache_dir: str | os.PathLike) -> Path:
-    """The current-version store file inside a cache directory."""
-    return Path(cache_dir) / f"{_STORE_STEM}{STORE_VERSION}.npz"
+def _encode_schedule(key: bytes, rounds: np.ndarray) -> dict:
+    return {f"e_{key.hex()}": np.ascontiguousarray(rounds, dtype=np.int64)}
 
 
-def save_store(
-    path: str | os.PathLike,
-    entries: dict[bytes, np.ndarray] | "ScheduleCache",
-    *,
-    max_entries: int = 4096,
-    max_bytes: int = 64 * 1024 * 1024,
-) -> dict:
-    """Atomically write a versioned schedule store; returns save stats.
-
-    ``entries`` may be a :class:`ScheduleCache` (its LRU order is used:
-    most recently used entries are kept first under the caps) or a plain
-    digest-to-array mapping.  The write goes through a temporary file and
-    ``os.replace`` so a crashed run never leaves a truncated store, and
-    store files of *other* versions in the same directory are evicted.
-    """
-    if isinstance(entries, ScheduleCache):
-        entries = entries.export_entries()
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-
-    kept: dict[str, np.ndarray] = {}
-    payload = 0
-    dropped = 0
-    # iterate newest-first so the caps keep the most recently used entries
-    for key, rounds in reversed(list(entries.items())):
-        arr = np.ascontiguousarray(rounds, dtype=np.int64)
-        if len(kept) >= max_entries or payload + arr.nbytes > max_bytes:
-            dropped += 1
-            continue
-        kept[f"e_{key.hex()}"] = arr
-        payload += arr.nbytes
-    kept["__meta__"] = np.array([STORE_VERSION], dtype=np.int64)
-
-    buf = io.BytesIO()
-    np.savez_compressed(buf, magic=np.frombuffer(_STORE_MAGIC.encode(), dtype=np.uint8), **kept)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(buf.getvalue())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    # evict stale-version stores so cache dirs stay bounded across upgrades
-    for stale in path.parent.glob(f"{_STORE_STEM}*.npz"):
-        if stale != path:
-            try:
-                stale.unlink()
-            except OSError:
-                pass
-    return {
-        "path": str(path),
-        "entries": len(kept) - 1,
-        "dropped": dropped,
-        "bytes": path.stat().st_size,
-        "version": STORE_VERSION,
-    }
+def _decode_schedule(eid: str, fields: dict) -> tuple[bytes, np.ndarray]:
+    rounds = np.asarray(fields[""], dtype=np.int64)
+    if rounds.ndim != 1:
+        raise ValueError("a schedule is one round per message")
+    rounds.setflags(write=False)
+    return bytes.fromhex(eid), rounds
 
 
-def load_store(path: str | os.PathLike) -> dict[bytes, np.ndarray]:
-    """Load a schedule store; ``{}`` on any problem (cold-cache fallback).
+SCHEDULE_STORE = RecordStore(
+    magic="repro-schedule-store",
+    stem="schedules-v",
+    version=STORE_VERSION,
+    tag="e",
+    max_entries=4096,
+    encode=_encode_schedule,
+    decode=_decode_schedule,
+    route=lambda key: key,
+)
 
-    Tolerates: missing file, unreadable file, non-npz garbage, missing or
-    wrong magic, version mismatch, and malformed entries (non-int arrays,
-    bad hex keys).  Per-entry damage skips the entry, not the whole store.
-    """
-    path = Path(path)
-    try:
-        with np.load(path) as data:
-            magic = data["magic"] if "magic" in data.files else None
-            if magic is None or bytes(magic.tobytes()) != _STORE_MAGIC.encode():
-                return {}
-            meta = data["__meta__"] if "__meta__" in data.files else None
-            if meta is None or int(np.asarray(meta).ravel()[0]) != STORE_VERSION:
-                return {}
-            out: dict[bytes, np.ndarray] = {}
-            for name in data.files:
-                if not name.startswith("e_"):
-                    continue
-                try:
-                    key = bytes.fromhex(name[2:])
-                    arr = np.asarray(data[name], dtype=np.int64)
-                    if arr.ndim != 1:
-                        continue
-                except (ValueError, TypeError):
-                    continue
-                arr.setflags(write=False)
-                out[key] = arr
-            return out
-    except Exception:  # any damage (zip, pickle-refusal, header) = cold cache
-        return {}
-
-
-# ---------------------------------------------------------------------- #
-# Sharded store (digest-prefix routing for concurrent writers)
-# ---------------------------------------------------------------------- #
-#: hex characters of the structure digest that select a shard (2 -> up to
-#: 256 shard files, created lazily as structures appear)
-SHARD_PREFIX_CHARS = 2
-
-_SHARD_DIR = "shards"
-
-
-def shard_prefix(digest: bytes) -> str:
-    """The shard a structure digest routes to (its leading hex chars)."""
-    return digest.hex()[:SHARD_PREFIX_CHARS]
-
-
-def shard_store_path(cache_dir: str | os.PathLike, digest: bytes) -> Path:
-    """The store file holding ``digest``'s schedule inside a sharded cache
-    directory.  Digests with different prefixes map to different files, so
-    concurrent workers touching different structures never contend on one
-    npz."""
-    return Path(cache_dir) / _SHARD_DIR / shard_prefix(digest) / f"{_STORE_STEM}{STORE_VERSION}.npz"
-
-
-def save_store_sharded(
-    cache_dir: str | os.PathLike,
-    entries: dict[bytes, np.ndarray] | "ScheduleCache",
-    *,
-    max_entries_per_shard: int = 4096,
-    max_bytes_per_shard: int = 64 * 1024 * 1024,
-) -> dict:
-    """Write entries across digest-prefix shards; returns aggregate stats.
-
-    Each shard is written with :func:`save_store` (atomic temp-file
-    replace, per-shard entry/byte caps), and a shard is only rewritten
-    when the new entries actually change it — existing shard entries are
-    merged in first, so concurrent services interleaving saves converge
-    instead of clobbering each other.
-    """
-    if isinstance(entries, ScheduleCache):
-        entries = entries.export_entries()
-    by_shard: dict[str, dict[bytes, np.ndarray]] = {}
-    for digest, rounds in entries.items():
-        by_shard.setdefault(shard_prefix(digest), {})[digest] = rounds
-    stats = {"shards_written": 0, "entries": 0, "bytes": 0}
-    for prefix, shard_entries in sorted(by_shard.items()):
-        path = Path(cache_dir) / _SHARD_DIR / prefix / f"{_STORE_STEM}{STORE_VERSION}.npz"
-        existing = load_store(path)
-        fresh = [k for k in shard_entries if k not in existing]
-        if not fresh and existing:
-            continue  # nothing new for this shard; skip the rewrite
-        merged = dict(existing)
-        merged.update(shard_entries)
-        s = save_store(
-            path,
-            merged,
-            max_entries=max_entries_per_shard,
-            max_bytes=max_bytes_per_shard,
-        )
-        stats["shards_written"] += 1
-        stats["entries"] += s["entries"]
-        stats["bytes"] += s["bytes"]
-    return stats
-
-
-def load_store_sharded(
-    cache_dir: str | os.PathLike,
-    *,
-    prefixes: "list[str] | None" = None,
-) -> dict[bytes, np.ndarray]:
-    """Load schedule entries from a sharded cache directory.
-
-    ``prefixes`` restricts the load to the named shards (the resident
-    service warm-loads only the shard a batch's digest routes to);
-    ``None`` loads every shard present.  Missing or damaged shards load
-    as empty, exactly like :func:`load_store`.
-    """
-    shard_root = Path(cache_dir) / _SHARD_DIR
-    if prefixes is None:
-        try:
-            prefixes = sorted(p.name for p in shard_root.iterdir() if p.is_dir())
-        except OSError:
-            return {}
-    out: dict[bytes, np.ndarray] = {}
-    for prefix in prefixes:
-        out.update(load_store(shard_root / prefix / f"{_STORE_STEM}{STORE_VERSION}.npz"))
-    return out
+store_path = SCHEDULE_STORE.path
+save_store = SCHEDULE_STORE.save
+load_store = SCHEDULE_STORE.load
+shard_store_path = SCHEDULE_STORE.shard_path
+save_store_sharded = SCHEDULE_STORE.save_sharded
+load_store_sharded = SCHEDULE_STORE.load_sharded
 
 
 def store_crash_drill(cache_dir: str | os.PathLike) -> dict:
@@ -479,7 +288,7 @@ def store_crash_drill(cache_dir: str | os.PathLike) -> dict:
     report["heal_by_resave"] = len(load_store(path)) == len(entries)
 
     # stale-version stores are evicted on save
-    stale = path.parent / f"{_STORE_STEM}{STORE_VERSION + 1}.npz"
+    stale = path.parent / f"{SCHEDULE_STORE.stem}{STORE_VERSION + 1}.npz"
     stale.write_bytes(b"stale format")
     save_store(path, entries)
     report["stale_version_evicted"] = not stale.exists()

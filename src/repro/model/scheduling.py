@@ -36,10 +36,7 @@ are provided, both returning bit-identical assignments:
 
   1. closed forms where first-fit is a rank function (a single endpoint
      on one side, or degree 1 on one side);
-  2. the compiled word-bitset kernel of :mod:`repro.model._kernels`, when
-     the optional Numba backend is active (``REPRO_KERNELS``); it runs the
-     specification message by message;
-  3. *run-collapsed* first-fit when the phase's ``(src, dst)`` runs average
+  2. *run-collapsed* first-fit when the phase's ``(src, dst)`` runs average
      at least two messages, else the reference loop (on shorter runs the
      per-run bookkeeping costs more than it saves; the measured crossover
      is in EXPERIMENTS.md E26).
@@ -73,8 +70,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.model import _kernels
-
 __all__ = [
     "greedy_two_sided_schedule",
     "schedule_makespan",
@@ -84,9 +79,6 @@ __all__ = [
 # Below this many remote messages the plain loop wins on constant factors.
 _SMALL_PHASE = 192
 
-# The compiled kernel keeps ``ceil(bound / 64)`` occupancy words per
-# endpoint; beyond this bound (in rounds) it is not used.
-_MAX_BITSET_BOUND = 1 << 14
 
 def greedy_two_sided_schedule(
     src: np.ndarray, dst: np.ndarray, *, method: str = "auto"
@@ -245,11 +237,6 @@ def _first_fit_vectorized(
         starts = np.cumsum(send_deg) - send_deg
         return np.arange(p, dtype=np.int64) - starts[s_inv]
 
-    bound = s_max + r_max - 1
-    # The compiled kernel runs the sequential specification directly over
-    # word bitsets and wins on every shape once compilation is amortized.
-    if bound <= _MAX_BITSET_BOUND and _kernels.first_fit_available():
-        return _kernels.first_fit_words(s_inv, d_inv, n_send, n_recv, bound)
     runs = _runs(s_inv, d_inv)
     # A step per run costs more than a step per message on short runs;
     # the two cross at a mean run length of 2-3 (EXPERIMENTS.md E26).

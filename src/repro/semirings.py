@@ -118,9 +118,8 @@ class Semiring:
         """Sum ``values`` grouped by ``segment_ids`` (used for X accumulation).
 
         For ordinary addition the scatter-add runs through
-        :mod:`repro.model._kernels` (compiled loop under Numba, ordered
-        ``np.bincount`` under NumPy) — both accumulate in element order,
-        bit-identical to the historical ``np.add.at`` path.
+        :mod:`repro.model._kernels` (ordered ``np.bincount``), which
+        accumulates in element order, bit-identical to ``np.add.at``.
         """
         values = np.asarray(values, dtype=self.dtype)
         out = self.zeros(num_segments)

@@ -1,18 +1,29 @@
-"""Tests for the persistent schedule store (versioning, corruption
-tolerance, size caps) and the network's cache-injection plumbing."""
+"""The one store's container tests, over both record types (schedule and
+plan records; see ``tests/store_codecs.py``), plus the schedule codec's own
+checks and the network's cache-injection plumbing.
+
+Every container test loops over the two codecs, so each behaviour (round
+trip, damage tolerance, caps, stale-version eviction, on-disk
+compatibility) is checked for schedules and plans alike.
+"""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.model.network import LowBandwidthNetwork
 from repro.model.schedule_cache import (
-    STORE_VERSION,
     ScheduleCache,
     load_store,
     phase_digest,
     save_store,
     store_path,
 )
+from tests.store_codecs import CODECS, PLANS, SCHEDULES
+
+COMPAT = Path(__file__).parent / "data" / "store_compat"
 
 
 def _filled_cache(phases=3):
@@ -26,21 +37,39 @@ def _filled_cache(phases=3):
     return cache
 
 
+def _saved(tmp_path, codec, count=3, seed=0):
+    """Save ``count`` sample entries of ``codec`` in a fresh directory."""
+    entries = codec.entries(count, seed)
+    path = codec.store.path(tmp_path / codec.name)
+    codec.save(path, entries)
+    return path, entries
+
+
+def _rewrite(path, **changes):
+    """Rewrite a store file with some members replaced or added."""
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays.update(changes)
+    np.savez_compressed(path, **arrays)
+
+
 # ------------------------------------------------------------------ #
 # round trip
 # ------------------------------------------------------------------ #
 def test_store_round_trip_bitwise(tmp_path):
-    cache = _filled_cache()
-    path = store_path(tmp_path)
-    stats = save_store(path, cache)
-    assert stats["entries"] == len(cache)
-    assert stats["version"] == STORE_VERSION
+    for codec in CODECS:
+        entries = codec.entries(3, 0)
+        path = codec.store.path(tmp_path / codec.name)
+        stats = codec.save(path, entries)
+        assert stats["entries"] == len(entries), codec.name
+        assert stats["version"] == codec.store.version
 
-    loaded = load_store(path)
-    assert loaded.keys() == cache.export_entries().keys()
-    for key, arr in cache.export_entries().items():
-        np.testing.assert_array_equal(loaded[key], arr)
-        assert not loaded[key].flags.writeable
+        loaded = codec.load(path)
+        assert loaded.keys() == entries.keys(), codec.name
+        for key, value in entries.items():
+            assert codec.same(key, loaded[key], value), codec.name
+            if codec is SCHEDULES:
+                assert not loaded[key].flags.writeable
 
 
 def test_loaded_entries_replay_as_hits(tmp_path):
@@ -69,77 +98,133 @@ def test_store_digest_keys_match_phase_digest(tmp_path):
 # corruption / version tolerance: always degrade to a cold cache
 # ------------------------------------------------------------------ #
 def test_load_missing_file_is_cold(tmp_path):
-    assert load_store(tmp_path / "nope.npz") == {}
+    for codec in CODECS:
+        assert codec.load(tmp_path / "nope.npz") == {}, codec.name
 
 
 def test_load_garbage_is_cold(tmp_path):
-    path = store_path(tmp_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(b"this is not an npz archive at all")
-    assert load_store(path) == {}
+    for codec in CODECS:
+        path = codec.store.path(tmp_path / codec.name)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"this is not an npz archive at all")
+        assert codec.load(path) == {}, codec.name
 
 
 def test_load_truncated_store_is_cold(tmp_path):
-    path = store_path(tmp_path)
-    save_store(path, _filled_cache())
-    blob = path.read_bytes()
-    path.write_bytes(blob[: len(blob) // 2])
-    assert load_store(path) == {}
+    for codec in CODECS:
+        path, _ = _saved(tmp_path, codec)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
+        assert codec.load(path) == {}, codec.name
 
 
 def test_load_foreign_npz_is_cold(tmp_path):
-    path = store_path(tmp_path)
-    np.savez_compressed(path, something=np.arange(5))
-    assert load_store(path) == {}
+    for codec in CODECS:
+        path = codec.store.path(tmp_path / codec.name)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        np.savez_compressed(path, something=np.arange(5))
+        assert codec.load(path) == {}, codec.name
+        np.savez(path, magic=np.frombuffer(b"wrong-magic", dtype=np.uint8))
+        assert codec.load(path) == {}, codec.name
+        # the other record type's store: right container, wrong magic
+        (other,) = [c for c in CODECS if c is not codec]
+        other_path, _ = _saved(tmp_path, other)
+        assert codec.load(other_path) == {}, codec.name
 
 
 def test_load_version_mismatch_is_cold(tmp_path):
-    path = store_path(tmp_path)
-    save_store(path, _filled_cache())
-    with np.load(path) as data:
-        arrays = {name: data[name] for name in data.files}
-    arrays["__meta__"] = np.array([STORE_VERSION + 1], dtype=np.int64)
-    np.savez_compressed(path, **arrays)
-    assert load_store(path) == {}
+    for codec in CODECS:
+        path, _ = _saved(tmp_path, codec)
+        _rewrite(path, __meta__=np.array([codec.store.version + 1], dtype=np.int64))
+        assert codec.load(path) == {}, codec.name
 
 
 def test_load_skips_malformed_entries(tmp_path):
-    path = store_path(tmp_path)
-    save_store(path, _filled_cache(phases=2))
-    with np.load(path) as data:
-        arrays = {name: data[name] for name in data.files}
-    arrays["e_nothex!"] = np.arange(3)  # bad key
-    arrays["e_" + "ab" * 16] = np.ones((2, 2))  # bad shape
-    np.savez_compressed(path, **arrays)
-    assert len(load_store(path)) == 2
+    for codec in CODECS:
+        path, entries = _saved(tmp_path, codec, count=2)
+        _rewrite(path, **codec.malformed)
+        loaded = codec.load(path)
+        assert loaded.keys() == entries.keys(), codec.name
 
 
 # ------------------------------------------------------------------ #
 # bounds: the store cannot grow without limit
 # ------------------------------------------------------------------ #
 def test_save_caps_entry_count_keeping_most_recent(tmp_path):
-    cache = _filled_cache(phases=6)
-    newest = list(cache.export_entries())[-2:]
-    stats = save_store(store_path(tmp_path), cache, max_entries=2)
-    assert stats["entries"] == 2
-    assert stats["dropped"] == 4
-    assert sorted(load_store(store_path(tmp_path))) == sorted(newest)
+    for codec in CODECS:
+        entries = codec.entries(6, 1)
+        newest = list(entries)[-2:]
+        path = codec.store.path(tmp_path / codec.name)
+        stats = codec.save(path, entries, max_entries=2)
+        assert stats["entries"] == 2, codec.name
+        assert stats["dropped"] == 4
+        assert set(codec.load(path)) == set(newest)
 
 
 def test_save_caps_payload_bytes(tmp_path):
-    cache = _filled_cache(phases=6)
-    one_entry = next(iter(cache.export_entries().values())).nbytes
-    stats = save_store(store_path(tmp_path), cache, max_bytes=one_entry)
-    assert 1 <= stats["entries"] < 6
-    assert stats["dropped"] >= 1
+    for codec in CODECS:
+        entries = codec.entries(6, 2)
+        one_entry = codec.nbytes(*next(iter(entries.items())))
+        path = codec.store.path(tmp_path / codec.name)
+        stats = codec.save(path, entries, max_bytes=one_entry)
+        assert 1 <= stats["entries"] < 6, codec.name
+        assert stats["dropped"] >= 1
 
 
 def test_save_evicts_stale_version_files(tmp_path):
-    stale = tmp_path / "schedules-v0.npz"
-    stale.write_bytes(b"old format")
-    save_store(store_path(tmp_path), _filled_cache())
-    assert not stale.exists()
-    assert store_path(tmp_path).exists()
+    for codec in CODECS:
+        stale = tmp_path / codec.name / f"{codec.store.stem}0.npz"
+        stale.parent.mkdir(parents=True)
+        stale.write_bytes(b"old format")
+        path, _ = _saved(tmp_path, codec)
+        assert not stale.exists(), codec.name
+        assert path.exists()
+
+
+# ------------------------------------------------------------------ #
+# on-disk compatibility: store files written before the container was
+# shared (tests/data/store_compat, with the values they were written
+# from in expected.json) load entry for entry and re-save identically
+# ------------------------------------------------------------------ #
+def _sha(arr):
+    import hashlib
+
+    arr = np.ascontiguousarray(arr)
+    return f"{arr.dtype.str}:{list(arr.shape)}:" + hashlib.sha256(arr.tobytes()).hexdigest()
+
+
+def test_stored_files_of_the_previous_writer_load_entry_for_entry():
+    expected = json.loads((COMPAT / "expected.json").read_text())
+    schedules = SCHEDULES.load_sharded(COMPAT)
+    assert {k.hex() for k in schedules} == set(expected["schedules"])
+    for key, rounds in schedules.items():
+        assert rounds.dtype == np.int64
+        assert rounds.tolist() == expected["schedules"][key.hex()]
+    plans = PLANS.load_sharded(COMPAT)
+    assert {PLANS.route(k).hex() for k in plans} == set(expected["plans"])
+    for key, plan in plans.items():
+        want = expected["plans"][PLANS.route(key).hex()]
+        assert (key[0].hex(), key[1], list(key[2])) == (want["digest"], want["semiring"], want["shape"])
+        members = PLANS.store.encode(key, plan)
+        assert {n: _sha(a) for n, a in members.items()} == want["members"]
+
+
+def test_resaving_stored_entries_gives_the_same_members(tmp_path):
+    for codec in CODECS:
+        (committed,) = (COMPAT / "shards").glob(f"*/{codec.store.filename}")
+        entries = codec.load_sharded(COMPAT)
+        assert entries, codec.name
+        stats = codec.save_sharded(tmp_path, entries)
+        assert stats["shards_written"] == 1
+        resaved = codec.store.shard_path(tmp_path, codec.route(next(iter(entries))))
+        assert resaved.relative_to(tmp_path) == committed.relative_to(COMPAT)
+        with np.load(committed) as old, np.load(resaved) as new:
+            # a load lists entries newest first and a save writes its
+            # input newest first, so a load-save round reverses the order
+            assert sorted(old.files) == sorted(new.files), codec.name
+            for name in old.files:
+                assert old[name].dtype == new[name].dtype, name
+                assert old[name].tobytes() == new[name].tobytes(), name
 
 
 def test_merge_respects_lru_bound():

@@ -3,13 +3,11 @@
 :func:`repro.model.scheduling._first_fit_runs` schedules a lexsorted
 phase one ``(src, dst)`` run at a time: each run takes the ``k`` lowest
 zero bits of its endpoints' union (the run lemma in the scheduling
-module's docstring).  These tests call it directly, so they check it on
-every kernel backend; with the Numba backend active they also check the
-compiled kernel against the same reference.
+module's docstring).  These tests call it directly.
 
 * **properties** — phases drawn as runs with lengths biased to 1–40:
   single-run phases, all-length-1 phases, multi-word bounds, bounds above
-  ``2**14`` and self-messages.  The run path, the active kernel and
+  ``2**14`` and self-messages.  The run path and
   :func:`_first_fit_reference` must agree byte for byte, and the makespan
   must stay within ``s + r - 1``;
 * **golden phases** — every scheduled phase of two Table-1-shaped cells
@@ -31,7 +29,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.api import multiply
-from repro.model import _kernels
 from repro.model import network as network_mod
 from repro.model import scheduling
 from repro.model.network import LowBandwidthNetwork
@@ -79,9 +76,9 @@ def run_phases(
     )
 
 
-def _check_runs(run_src, run_dst, run_len, n_send, n_recv, *, kernel=True):
-    """The run path equals the reference (and the active kernel) on the
-    expanded phase, and honours the greedy bound."""
+def _check_runs(run_src, run_dst, run_len, n_send, n_recv):
+    """The run path equals the reference on the expanded phase, and
+    honours the greedy bound."""
     s = np.repeat(run_src, run_len)
     d = np.repeat(run_dst, run_len)
     ref = _first_fit_reference(s, d)
@@ -91,9 +88,6 @@ def _check_runs(run_src, run_dst, run_len, n_send, n_recv, *, kernel=True):
     bound = int(np.bincount(s).max() + np.bincount(d).max() - 1)
     assert schedule_makespan(got) <= bound
     validate_schedule(s, d + n_send, got)  # disjoint id spaces: every message is remote
-    if kernel:
-        active = _kernels.first_fit_words(s, d, n_send, n_recv, bound)
-        assert active.tobytes() == ref.tobytes()
     return bound
 
 
@@ -140,16 +134,15 @@ def test_run_path_multiword_bound():
     )
 )
 def test_run_path_huge_bounds(phase):
-    """Bounds far past the kernel's ``2**14`` word cap (reference only;
-    the interpreted kernel would take seconds)."""
-    _check_runs(*phase, kernel=False)
+    """Bounds far past ``2**14`` rounds."""
+    _check_runs(*phase)
 
 
 def test_run_path_bound_above_two_to_the_14():
     run_src = np.array([0, 0, 1, 1], dtype=np.int64)
     run_dst = np.array([0, 1, 0, 1], dtype=np.int64)
     run_len = np.array([9000, 1, 8000, 9000], dtype=np.int64)
-    assert _check_runs(run_src, run_dst, run_len, 2, 2, kernel=False) > 1 << 14
+    assert _check_runs(run_src, run_dst, run_len, 2, 2) > 1 << 14
 
 
 def test_run_path_memory_follows_the_runs_not_the_makespan():
@@ -292,8 +285,8 @@ def test_golden_table1_phases(monkeypatch):
                 part[idx] = real_runs(*_runs(s, d), int(s.max()) + 1, int(d.max()) + 1)
                 rounds[remote] = part
                 assert _digest(rounds) == digest
-    # without the compiled kernel, the dense phases took the run path
-    assert run_calls or _kernels.first_fit_available()
+    # the dense phases took the run path
+    assert run_calls
 
 
 if __name__ == "__main__":

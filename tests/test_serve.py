@@ -5,8 +5,9 @@ coalescing key (identical endpoint structure under different semirings
 shares schedules but never a batch), window coalescing and its
 economics, admission control on the bounded queue, per-tenant bills,
 bit-identity of batched execution to serial single-job execution, the
-digest-prefix sharded schedule store, the resident worker pool (shm
-transport, crash recovery), and opt-in in-model certification.
+digest-prefix sharded store (schedule and plan records), the resident
+worker pool (shm transport, crash recovery), and opt-in in-model
+certification.
 """
 
 import asyncio
@@ -21,7 +22,6 @@ from repro.model.schedule_cache import (
     ScheduleCache,
     default_schedule_cache,
     load_store_sharded,
-    save_store_sharded,
     shard_prefix,
     shard_store_path,
 )
@@ -44,6 +44,7 @@ from repro.serve import (
 )
 from repro.sparsity.families import US
 from repro.supported.instance import make_instance
+from tests.store_codecs import CODECS, SCHEDULES
 
 
 def _base_instance(n=16, d=2, seed=0, semiring=REAL_FIELD):
@@ -357,51 +358,52 @@ def test_job_constructor_validation():
 
 
 # ---------------------------------------------------------------------- #
-# Sharded schedule store
+# Sharded store, for both record types (schedules and plans)
 # ---------------------------------------------------------------------- #
-def _fake_entries(count, seed=0):
-    rng = np.random.default_rng(seed)
-    return {
-        rng.bytes(16): rng.integers(0, 50, size=rng.integers(1, 9)).astype(np.int64)
-        for _ in range(count)
-    }
-
-
 def test_sharded_store_round_trips(tmp_path):
-    entries = _fake_entries(40, seed=1)
-    stats = save_store_sharded(tmp_path, entries)
-    assert stats["entries"] == 40
-    assert stats["shards_written"] == len({shard_prefix(d) for d in entries})
-    loaded = load_store_sharded(tmp_path)
-    assert set(loaded) == set(entries)
-    for k in entries:
-        assert np.array_equal(loaded[k], entries[k])
+    for codec in CODECS:
+        entries = codec.entries(40, 1)
+        stats = codec.save_sharded(tmp_path / codec.name, entries)
+        assert stats["entries"] == 40, codec.name
+        assert stats["shards_written"] == len({shard_prefix(codec.route(k)) for k in entries})
+        loaded = codec.load_sharded(tmp_path / codec.name)
+        assert set(loaded) == set(entries)
+        for k in entries:
+            assert codec.same(k, loaded[k], entries[k])
+        # an incremental save with nothing fresh skips every shard
+        assert codec.save_sharded(tmp_path / codec.name, entries)["shards_written"] == 0
 
 
 def test_sharded_store_routes_by_digest_prefix(tmp_path):
-    entries = _fake_entries(12, seed=2)
-    save_store_sharded(tmp_path, entries)
-    for digest in entries:
-        path = shard_store_path(tmp_path, digest)
-        assert path.exists()
-        assert path.parent.name == shard_prefix(digest)
-        only = load_store_sharded(tmp_path, prefixes=[shard_prefix(digest)])
-        assert digest in only
-        assert all(shard_prefix(k) == shard_prefix(digest) for k in only)
+    for codec in CODECS:
+        entries = codec.entries(12, 2)
+        codec.save_sharded(tmp_path / codec.name, entries)
+        for key in entries:
+            digest = codec.route(key)
+            path = codec.store.shard_path(tmp_path / codec.name, digest)
+            assert path.exists(), codec.name
+            assert path.parent.name == shard_prefix(digest)
+            only = codec.load_sharded(tmp_path / codec.name, prefixes=[shard_prefix(digest)])
+            assert key in only
+            assert all(shard_prefix(codec.route(k)) == shard_prefix(digest) for k in only)
+    digest = next(iter(SCHEDULES.entries(1, 2)))
+    assert shard_store_path(tmp_path, digest) == SCHEDULES.store.shard_path(tmp_path, digest)
 
 
 def test_sharded_store_merges_incrementally(tmp_path):
-    first = _fake_entries(10, seed=3)
-    second = _fake_entries(10, seed=4)
-    save_store_sharded(tmp_path, first)
-    save_store_sharded(tmp_path, second)
-    loaded = load_store_sharded(tmp_path)
-    assert set(loaded) == set(first) | set(second)
+    for codec in CODECS:
+        first = codec.entries(10, 3)
+        second = codec.entries(10, 4)
+        codec.save_sharded(tmp_path / codec.name, first)
+        codec.save_sharded(tmp_path / codec.name, second)
+        loaded = codec.load_sharded(tmp_path / codec.name)
+        assert set(loaded) == set(first) | set(second), codec.name
 
 
 def test_load_sharded_on_empty_dir_is_empty(tmp_path):
-    assert load_store_sharded(tmp_path) == {}
-    assert load_store_sharded(tmp_path / "never-created") == {}
+    for codec in CODECS:
+        assert codec.load_sharded(tmp_path) == {}, codec.name
+        assert codec.load_sharded(tmp_path / "never-created") == {}, codec.name
 
 
 # ---------------------------------------------------------------------- #
