@@ -47,14 +47,16 @@ cert-smoke:
 # Kernel + zero-copy executor smoke: the NumPy segment-sum kernels
 # against np.add.at, the scheduler parity net (run-collapsed first-fit
 # against the reference loop; the bounded-key numbering and per-pair
-# lookups against the sorts they replace), the local-step folds against
-# their recorded goldens, and the shared-memory work-stealing engine
+# lookups against the sorts they replace), the one-shot triangle
+# enumeration and column-wise cluster extraction against their oracles
+# (tests/oracles), the local-step folds against their recorded goldens,
+# and the shared-memory work-stealing engine
 # (serial equivalence, crash recovery, segment hygiene, dispatch before
 # polling, and the self-healing timeout/retry/quarantine policy it also
 # runs), then the sweep bench with two workers so BENCH_sweeps.json
 # records the shm engine's per-cell payload accounting.
 kernel-smoke:
-	pytest tests/test_kernels.py tests/test_scheduler_runs.py tests/test_pair_lookup_parity.py tests/test_local_fold.py tests/test_triangle_enumeration.py tests/test_instance_words.py tests/test_shm_executor.py tests/test_dispatch_order.py tests/test_executor_resilience.py -q
+	pytest tests/test_kernels.py tests/test_scheduler_runs.py tests/test_pair_lookup_parity.py tests/test_local_fold.py tests/test_triangle_enumeration.py tests/test_clustering_columns.py tests/test_instance_words.py tests/test_shm_executor.py tests/test_dispatch_order.py tests/test_executor_resilience.py -q
 	REPRO_BENCH_SMOKE=1 REPRO_BENCH_WORKERS=2 \
 		pytest benchmarks/bench_sweep_executor.py --benchmark-only
 

@@ -61,15 +61,13 @@ class TracingNetwork(LowBandwidthNetwork):
         super().__init__(n, **kwargs)
         self.traces: list[PhaseTrace] = []
 
-    def _dispatch(self, src, dst, src_keys, dst_keys, *, label, lockstep, resilience=None):
+    def _dispatch(self, src, dst, src_keys, dst_keys, *, label, lockstep):
         """Execute the phase normally, then record it.  Every phase kind —
-        scheduled, lockstep, columnar (``src_keys=None``) and an explicit
-        :class:`~repro.model.faults.ResilientExchange` — enters here, so
+        scheduled, lockstep, columnar (``src_keys=None``) and ack/resend
+        delivery on a network built with ``resilience`` — enters here, so
         they all trace alike.  An empty batch is no phase and leaves no
         trace."""
-        used = super()._dispatch(
-            src, dst, src_keys, dst_keys, label=label, lockstep=lockstep, resilience=resilience
-        )
+        used = super()._dispatch(src, dst, src_keys, dst_keys, label=label, lockstep=lockstep)
         if src.size:
             self.traces.append(
                 PhaseTrace(label, np.array(src, copy=True), np.array(dst, copy=True), used)

@@ -32,6 +32,10 @@ class Codec:
     entries: Callable[[int, int], dict]
     #: members that decode to no entry (bad names, shapes or payloads)
     malformed: dict
+    #: ``cache(maxsize)``: an empty in-memory cache of this record type
+    cache: Callable[[int], object]
+    #: ``held(cache, keys)``: which of ``keys`` the cache holds
+    held: Callable[[object, list], list]
 
     def route(self, key) -> bytes:
         return self.store.route(key)
@@ -96,6 +100,8 @@ SCHEDULES = Codec(
         "e_nothex!": np.arange(3),  # bad key
         "e_" + "ab" * 16: np.ones((2, 2)),  # bad shape
     },
+    cache=lambda maxsize: sc.ScheduleCache(maxsize=maxsize),
+    held=lambda cache, keys: [k for k in keys if k in cache.export_entries()],
 )
 
 PLANS = Codec(
@@ -113,6 +119,10 @@ PLANS = Codec(
             json.dumps({"version": plan_mod.PLAN_VERSION}).encode(), dtype=np.uint8
         ),
     },
+    cache=lambda maxsize: plan_mod.PlanCache(maxsize=maxsize),
+    held=lambda cache, keys: [
+        k for k in keys if cache.lookup(k, count=False)[0] is not None
+    ],
 )
 
 CODECS = (SCHEDULES, PLANS)

@@ -217,36 +217,36 @@ def test_broadcast_convergecast_roundtrip_property(seg_len, value):
 
 
 # --------------------------------------------------------------------- #
-# one phase entry for explicit ack/resend delivery
+# one phase entry for ack/resend delivery
 # --------------------------------------------------------------------- #
 def test_resilient_exchange_counts_one_dispatch_per_phase():
-    """``ResilientExchange.exchange_arrays`` enters the network's phase
-    entry: one dispatch per phase (however many attempts and acks it
-    bills), none for an empty batch."""
-    from repro.model.faults import FaultPlan, ResilienceConfig, ResilientExchange
+    """On a network built with ``resilience=``, the ack/resend protocol
+    runs inside the network's phase entry: one dispatch per phase
+    (however many attempts and acks it bills), none for an empty batch."""
+    from repro.model.faults import FaultPlan, ResilienceConfig
     from repro.model.network import dispatch_count
 
-    net = LowBandwidthNetwork(4, fault_plan=FaultPlan(drop_rate=0.3, seed=3))
+    net = LowBandwidthNetwork(
+        4,
+        fault_plan=FaultPlan(drop_rate=0.3, seed=3),
+        resilience=ResilienceConfig(max_retries=20),
+    )
     for c in range(4):
         net.deal(c, "x", float(c))
-    rex = ResilientExchange(net, ResilienceConfig(max_retries=20))
     before = dispatch_count()
-    rex.exchange_arrays(np.array([0, 1, 2, 3]), np.array([1, 2, 3, 0]), ["x"] * 4, ["y"] * 4)
+    net.exchange_arrays(np.array([0, 1, 2, 3]), np.array([1, 2, 3, 0]), ["x"] * 4, ["y"] * 4)
     assert dispatch_count() - before == 1
     assert net.fault_counts()["retry_phases"] > 0  # more than one attempt ran
     assert [net.read(c, "y") for c in range(4)] == [3.0, 0.0, 1.0, 2.0]
     empty = np.empty(0, dtype=np.int64)
-    assert rex.exchange_arrays(empty, empty, [], label="none") == 0
+    assert net.exchange_arrays(empty, empty, [], label="none") == 0
     assert dispatch_count() - before == 1
 
 
 def test_resilient_exchange_shares_the_entry_checks():
-    from repro.model.faults import ResilientExchange
-
-    net = LowBandwidthNetwork(4)  # no resilience of its own
+    net = LowBandwidthNetwork(4, resilience=True)
     net.deal(0, "k", 1.0)
-    rex = ResilientExchange(net)
     with pytest.raises(ValueError, match="lengths differ"):
-        rex.exchange_arrays(np.array([0, 1]), np.array([1]), ["k", "k"])
+        net.exchange_arrays(np.array([0, 1]), np.array([1]), ["k", "k"])
     with pytest.raises(NetworkError, match=r"\[p @ round 0\] columnar delivery .*keys"):
-        rex.exchange_arrays(np.array([0]), np.array([1]), None, label="p")
+        net.exchange_arrays(np.array([0]), np.array([1]), None, label="p")

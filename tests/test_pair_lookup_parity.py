@@ -14,11 +14,12 @@ used to sort or binary-search per element:
   ``(i, rank // kappa)`` keys (``_virtual_ids``) where ``np.unique``
   numbered them.
 
-Each is checked against a literal copy of the code it replaced (or the
-per-triangle lookup it replaced), and the whole Lemma 3.1 step — negated,
-on unsorted triangles with repeats, the two-phase driver's Strassen
-correction path — against the strict per-message network: values
-digest, rounds, messages and per-phase bill.
+Each is checked against a literal copy of the code it replaced
+(``tests/oracles/numbering.py``) or the per-triangle lookup it replaced,
+and the whole Lemma 3.1 step — negated, on unsorted triangles with
+repeats, the two-phase driver's Strassen correction path — against the
+strict per-message network: values digest, rounds, messages and
+per-phase bill.
 """
 
 from __future__ import annotations
@@ -40,11 +41,16 @@ from repro.algorithms.fewtriangles import (
 )
 from repro.model.network import LowBandwidthNetwork
 from repro.model.schedule_cache import default_schedule_cache
-from repro.model.scheduling import _dense_ids, _first_fit_vectorized, greedy_two_sided_schedule
+from repro.model.scheduling import _dense_ids, greedy_two_sided_schedule
 from repro.semirings import ALL_SEMIRINGS, REAL_FIELD
 from repro.sparsity.families import AS, US
 from repro.supported.instance import SupportedInstance, make_instance
 from repro.transport.runner import values_digest
+from tests.oracles.numbering import (
+    unique_ids,
+    unique_vectorized_schedule,
+    unique_virtual_ids,
+)
 
 SEMIRINGS = {sr.name: sr for sr in ALL_SEMIRINGS}
 
@@ -52,36 +58,6 @@ SEMIRINGS = {sr.name: sr for sr in ALL_SEMIRINGS}
 # --------------------------------------------------------------------- #
 # dense endpoint numbering
 # --------------------------------------------------------------------- #
-def _unique_ids(ids):
-    """The numbering first-fit used before: ``np.unique``'s inverse and size."""
-    uniq, inv = np.unique(ids, return_inverse=True)
-    return inv, uniq.size
-
-
-def _old_vectorized_schedule(src, dst):
-    """``greedy_two_sided_schedule(method="vectorized")`` as it was, with
-    the endpoints numbered by ``np.unique``."""
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    rounds = np.full(src.size, -1, dtype=np.int64)
-    remote = src != dst
-    if not remote.any():
-        return rounds
-    r_src = src[remote]
-    r_dst = dst[remote]
-    s_uniq, s_ids = np.unique(r_src, return_inverse=True)
-    d_uniq, d_ids = np.unique(r_dst, return_inverse=True)
-    n_send, n_recv = s_uniq.size, d_uniq.size
-    key = (s_ids * n_recv + d_ids).astype(np.min_scalar_type(n_send * n_recv - 1))
-    idx = np.argsort(key, kind="stable")
-    s_ids, d_ids = s_ids[idx], d_ids[idx]
-    assigned = _first_fit_vectorized(s_ids, d_ids, n_send, n_recv)
-    out_remote = np.empty(r_src.size, dtype=np.int64)
-    out_remote[idx] = assigned
-    rounds[remote] = out_remote
-    return rounds
-
-
 #: (scale, offset): dense ids, ids below zero, ids 10**12 apart
 ID_SHAPES = st.sampled_from([(1, 0), (1, -37), (3, -10**6), (10**12, 0), (10**12, -(10**13))])
 
@@ -98,7 +74,7 @@ def id_arrays(draw):
 @given(ids=id_arrays())
 def test_dense_ids_match_unique(ids):
     inv, count = _dense_ids(ids)
-    want_inv, want_count = _unique_ids(ids)
+    want_inv, want_count = unique_ids(ids)
     assert count == want_count
     assert inv.tobytes() == want_inv.astype(np.int64).tobytes()
 
@@ -109,7 +85,7 @@ def test_dense_ids_at_the_range_guard(span):
     from the guard up the sort; both give ``np.unique``'s numbering."""
     ids = np.array([5, 5 + span, 5, 6 if span else 5, 5 + span // 2] * 2, dtype=np.int64)
     inv, count = _dense_ids(ids)
-    want_inv, want_count = _unique_ids(ids)
+    want_inv, want_count = unique_ids(ids)
     assert count == want_count
     assert inv.tobytes() == want_inv.astype(np.int64).tobytes()
 
@@ -133,26 +109,13 @@ def test_vectorized_schedule_matches_unique_numbering(phase):
     (``src == dst``) schedule exactly as with ``np.unique``."""
     src, dst = phase
     got = greedy_two_sided_schedule(src, dst, method="vectorized")
-    assert got.tobytes() == _old_vectorized_schedule(src, dst).tobytes()
+    assert got.tobytes() == unique_vectorized_schedule(src, dst).tobytes()
     assert got.tobytes() == greedy_two_sided_schedule(src, dst, method="reference").tobytes()
 
 
 # --------------------------------------------------------------------- #
 # virtual-node ids
 # --------------------------------------------------------------------- #
-def _unique_virtual_ids(i_sorted, kappa):
-    """The virtual-node numbering as it was: ``np.unique`` over the
-    ``(i, rank // kappa)`` keys."""
-    starts = np.concatenate(([True], i_sorted[1:] != i_sorted[:-1]))
-    group_start_idx = np.flatnonzero(starts)
-    group_of = np.cumsum(starts) - 1
-    rank_in_group = np.arange(i_sorted.shape[0]) - group_start_idx[group_of]
-    copy = rank_in_group // kappa
-    vkeys = i_sorted * (i_sorted.shape[0] + 1) + copy
-    _uniq, vids = np.unique(vkeys, return_inverse=True)
-    return vids
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     i_col=st.lists(st.integers(0, 40), min_size=0, max_size=300),
@@ -161,7 +124,7 @@ def _unique_virtual_ids(i_sorted, kappa):
 def test_virtual_ids_match_unique(i_col, kappa):
     i_sorted = np.sort(np.asarray(i_col, dtype=np.int64), kind="stable")
     got = _virtual_ids(i_sorted, kappa)
-    assert got.tobytes() == _unique_virtual_ids(i_sorted, kappa).astype(np.int64).tobytes()
+    assert got.tobytes() == unique_virtual_ids(i_sorted, kappa).astype(np.int64).tobytes()
 
 
 # --------------------------------------------------------------------- #

@@ -219,11 +219,66 @@ def test_resaving_stored_entries_gives_the_same_members(tmp_path):
         resaved = codec.store.shard_path(tmp_path, codec.route(next(iter(entries))))
         assert resaved.relative_to(tmp_path) == committed.relative_to(COMPAT)
         with np.load(committed) as old, np.load(resaved) as new:
-            # a load lists entries newest first and a save writes its
-            # input newest first, so a load-save round reverses the order
-            assert sorted(old.files) == sorted(new.files), codec.name
+            assert old.files == new.files, codec.name
             for name in old.files:
                 assert old[name].dtype == new[name].dtype, name
+                assert old[name].tobytes() == new[name].tobytes(), name
+
+
+# ------------------------------------------------------------------ #
+# recency: a load returns entries oldest first, the order a save and a
+# cache's merge read, so caps keep the newest entries across rewrites
+# ------------------------------------------------------------------ #
+def _one_shard(codec, count, seed):
+    """``count`` sample entries that route to one shard, oldest first."""
+    pool = codec.entries(300 * count, seed)
+    by_prefix = {}
+    for key, value in pool.items():
+        by_prefix.setdefault(codec.route(key)[:1], {})[key] = value
+    fullest = max(by_prefix.values(), key=len)
+    assert len(fullest) >= count
+    return dict(list(fullest.items())[:count])
+
+
+def test_full_store_keeps_the_newest_entries_across_rewrites(tmp_path):
+    for codec in CODECS:
+        entries = _one_shard(codec, 8, 3)
+        keys = list(entries)
+        old, new = dict(list(entries.items())[:6]), dict(list(entries.items())[6:])
+        # one file: re-save what was loaded plus one new entry, capped at 4
+        path = codec.store.path(tmp_path / codec.name / "file")
+        codec.save(path, old)
+        for k in keys[6:]:
+            codec.save(path, {**codec.load(path), k: entries[k]}, max_entries=4)
+        assert list(codec.load(path)) == keys[4:], codec.name
+        # one shard: each sharded save merges the shard's entries first
+        root = tmp_path / codec.name / "sharded"
+        codec.save_sharded(root, old)
+        for k in keys[6:]:
+            stats = codec.save_sharded(root, {k: new[k]}, max_entries_per_shard=4)
+            assert stats["shards_written"] == 1
+        assert list(codec.load_sharded(root)) == keys[4:], codec.name
+
+
+def test_warm_load_into_a_full_cache_keeps_the_newest_entries(tmp_path):
+    for codec in CODECS:
+        entries = codec.entries(6, 4)
+        path = codec.store.path(tmp_path / codec.name)
+        codec.save(path, entries)
+        cache = codec.cache(2)
+        cache.merge(codec.load(path))
+        assert codec.held(cache, list(entries)) == list(entries)[-2:], codec.name
+
+
+def test_load_save_round_trip_keeps_the_member_order(tmp_path):
+    for codec in CODECS:
+        path, entries = _saved(tmp_path, codec, count=5, seed=6)
+        assert list(codec.load(path)) == list(entries), codec.name
+        again = codec.store.path(tmp_path / codec.name / "again")
+        codec.save(again, codec.load(path))
+        with np.load(path) as old, np.load(again) as new:
+            assert old.files == new.files, codec.name
+            for name in old.files:
                 assert old[name].tobytes() == new[name].tobytes(), name
 
 

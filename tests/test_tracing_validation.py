@@ -86,11 +86,9 @@ def test_tracing_skips_empty_batches():
 
 
 def test_tracing_records_explicit_resilient_exchange():
-    from repro.model.faults import ResilientExchange
-
-    net = TracingNetwork(4)
+    net = TracingNetwork(4, resilience=True)
     net.deal(0, "k", 1.0)
-    ResilientExchange(net).exchange_arrays(np.array([0]), np.array([1]), ["k"], label="p")
+    net.exchange_arrays(np.array([0]), np.array([1]), ["k"], label="p")
     assert [t.label for t in net.traces] == ["p"]
 
 
