@@ -8,7 +8,7 @@ the paper never ran:
    the classified outcome of an unprotected strict run (never
    ``silent-corruption``: strict provenance plus the corruption checksum
    turn every fault into a detected failure), and the rounds-overhead of
-   the ack/resend recovery protocol (``ResilientExchange``) which must
+   the ack/resend recovery protocol (``resilience=``) which must
    end ``correct``.  The zero-fault point must be round-identical to the
    no-plan baseline — fault instrumentation is free when nothing fails.
 2. **Single-drop recovery** — targeted drops of individual payload

@@ -13,7 +13,6 @@ from repro.model.certify import Certificate, CertifyConfig, certify_product
 from repro.model.faults import (
     FaultPlan,
     ResilienceConfig,
-    ResilientExchange,
     classify_outcome,
     run_with_faults,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "phase_digest",
     "FaultPlan",
     "ResilienceConfig",
-    "ResilientExchange",
     "classify_outcome",
     "run_with_faults",
     "Certificate",

@@ -92,7 +92,7 @@ class TransportConfig:
         replace (respawn + mesh repair + round re-issue) before it gives
         up and aborts the phase with :class:`PeerDied`.
     ``wire_retries`` / ``wire_backoff_ms`` / ``wire_backoff_cap_ms``
-        The ack/resend policy of :class:`~repro.model.faults.ResilientExchange`
+        The ack/resend policy of :mod:`repro.model.faults`
         promoted to production duty on the wire: an unacknowledged word is
         re-sent after ``min(wire_backoff_ms * 2**(t-1), wire_backoff_cap_ms)``
         milliseconds (plus jitter), at most ``wire_retries`` times, before

@@ -11,7 +11,7 @@ and speaks three protocols:
   lower id accepts and the higher id dials): the actual machine words
   cross here as ``DATA`` frames, each acknowledged with an ``ACK``.
   Unacknowledged words are re-sent after the promoted
-  :class:`~repro.model.faults.ResilientExchange` backoff —
+  :func:`~repro.model.faults.backoff_schedule` backoff —
   ``min(base * 2**(t-1), cap)`` milliseconds plus jitter — at most
   ``wire_retries`` times; receivers deduplicate re-deliveries by the
   ``(step, msg_idx)`` sequence number, so a resend after a lost ack or
